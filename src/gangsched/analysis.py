@@ -237,23 +237,32 @@ def scan_upper_bound(
 
     A denominator <= 0 reverses the inequality the bound is derived from,
     so no finite scan interval exists and the result is NoDeltaBound.
+
+    Both sums are taken in integers over the common denominator
+    L = lcm(T_i) of the utilizations: L*U_i = C_i*(L/T_i) is an integer,
+    so L*numerator and L*denominator are integers with the same ratio and
+    the same sign of the denominator.  One Fraction is built at the end,
+    equal to what Fraction arithmetic on U_i would give.
     """
     t = ts.tasks[k]
     h = ts.processors - t.width + 1
-    numerator = Fraction(h * t.wcet)
-    denominator = Fraction(h)
+    common = math.lcm(*(other.period for other in ts.tasks))
+    numerator = 0
+    denominator = h * common
     for other in ts.tasks:
-        clip = min(other.width, h)
-        numerator -= (other.deadline - other.period) * other.utilization * clip
-        denominator -= other.utilization * clip
+        # L * U_i * min(v_i, h_k), exact.
+        weight = other.wcet * (common // other.period) * min(other.width, h)
+        numerator -= (other.deadline - other.period) * weight
+        denominator -= weight
     wcets = sorted((other.wcet for other in ts.tasks), reverse=True)
     if strategy is CarryInStrategy.ALL_TASKS:
-        numerator += sum(wcets)
+        carry = sum(wcets)
     else:
-        numerator += sum(wcets[: h - 1])
+        carry = sum(wcets[: h - 1])
+    numerator += (h * t.wcet + carry) * common
     if denominator > 0:
-        return DeltaBound(numerator / denominator)
-    return NoDeltaBound(denominator)
+        return DeltaBound(Fraction(numerator, denominator))
+    return NoDeltaBound(Fraction(denominator, common))
 
 
 def default_delta_cap(ts: TaskSystem) -> int:
@@ -321,12 +330,27 @@ def _aggregate_carry(extras: list[int], height: int, strategy: CarryInStrategy) 
     return sum(sorted(extras, reverse=True)[:keep])
 
 
-# Above this many scan points the vectorized path takes over.
+# Scans of at most this many windows run the scalar check_condition loop,
+# which stops at the first violated window; longer scans run in vectorized
+# blocks.  Scans whose values could overflow int64 stay scalar at any length.
+_SCALAR_SCAN_MAX = 48
+
+# Windows in the first vectorized block.  Each next block doubles, so a
+# violation at the first window costs one small block, while a long clean
+# scan reaches full-size blocks after a few steps.
+_FIRST_BLOCK = 64
+
+# Largest vectorized block; caps the int64 working arrays of one block at
+# a few times n * _SCAN_CHUNK entries.
 _SCAN_CHUNK = 1 << 16
 
 # Refuse-to-run guard: a near-zero positive denominator can demand an
 # absurdly long exact scan; fail loudly instead of grinding.
 SCAN_GUARD = 1 << 31
+
+
+class ScanGuardError(RuntimeError):
+    """A scan interval holds more than SCAN_GUARD window lengths."""
 
 
 def _first_violation(
@@ -336,19 +360,21 @@ def _first_violation(
     if hi < lo:
         return None
     if hi - lo + 1 > SCAN_GUARD:
-        raise RuntimeError(
-            f"scan over {hi - lo + 1} window lengths exceeds guard {SCAN_GUARD}"
+        raise ScanGuardError(
+            f"task {k}: scan over {hi - lo + 1} window lengths exceeds guard {SCAN_GUARD}"
         )
-    if hi - lo + 1 <= 48 or not _fits_int64(ts, hi):
+    if hi - lo + 1 <= _SCALAR_SCAN_MAX or not _fits_int64(ts, hi):
         for delta in range(lo, hi + 1):
             if not check_condition(ts, k, delta, config)[0]:
                 return delta
         return None
-    for start in range(lo, hi + 1, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK - 1, hi)
+    start, size = lo, _FIRST_BLOCK
+    while start <= hi:
+        stop = min(start + size - 1, hi)
         found = _first_violation_block(ts, k, start, stop, config)
         if found is not None:
             return found
+        start, size = stop + 1, min(2 * size, _SCAN_CHUNK)
     return None
 
 

@@ -4,8 +4,9 @@ Subcommands: counterexample, analyze, simulate, experiment, gen.  Every
 command is deterministic given its flags and seed; reports that carry
 exact rationals print them as fractions, never as rounded decimals.
 
-Exit codes: 0 success / schedulable / no miss; 1 input or usage error;
-2 not proven / deadline miss; 3 inapplicable verdict present.
+Exit codes: 0 success / schedulable / no miss; 1 input or usage error,
+or a scan longer than SCAN_GUARD windows; 2 not proven / deadline miss;
+3 inapplicable verdict present.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .analysis import (
     NotProven,
     SYSTEM_INAPPLICABLE,
     SYSTEM_NOT_PROVEN,
+    ScanGuardError,
     Variant,
     analyze,
     analyze_task,
@@ -90,7 +92,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (HorizonOverflowError, GenerationError, OSError, ValueError) as err:
+    except (
+        HorizonOverflowError, ScanGuardError, GenerationError, OSError, ValueError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -2,14 +2,26 @@
 
 These deliberately avoid the closed forms under test: demand is counted by
 enumerating release patterns and sliding windows over an explicit
-execution timeline.
+execution timeline.  The scan references keep the plain forms that the
+optimized analysis code replaced: the scan bound in Fraction arithmetic
+and the window scan as one check_condition call per window length.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Optional, Union
+
 import numpy as np
 
-from gangsched.model import GangTask
+from gangsched.analysis import (
+    AnalysisConfig,
+    CarryInStrategy,
+    DeltaBound,
+    NoDeltaBound,
+    check_condition,
+)
+from gangsched.model import GangTask, TaskSystem
 
 
 def brute_hbf(task: GangTask, length: int) -> int:
@@ -69,3 +81,39 @@ def scalar_carry_bound(tasks, i: int, k: int, delta: int, processors: int) -> in
     if i == k:
         return max(0, min(demand - t.wcet, delta - tasks[k].deadline))
     return max(0, min(demand, delta - tasks[k].wcet))
+
+
+def fraction_scan_upper_bound(
+    ts: TaskSystem, k: int, strategy: CarryInStrategy
+) -> Union[DeltaBound, NoDeltaBound]:
+    """The scan bound summed term by term in Fraction arithmetic.
+
+    numerator   h_k*C_k - sum_i (D_i - T_i)*U_i*min(v_i, h_k) + carry wcets
+    denominator h_k - sum_i U_i*min(v_i, h_k)
+    """
+    t = ts.tasks[k]
+    h = ts.processors - t.width + 1
+    numerator = Fraction(h * t.wcet)
+    denominator = Fraction(h)
+    for other in ts.tasks:
+        clip = min(other.width, h)
+        numerator -= (other.deadline - other.period) * other.utilization * clip
+        denominator -= other.utilization * clip
+    wcets = sorted((other.wcet for other in ts.tasks), reverse=True)
+    if strategy is CarryInStrategy.ALL_TASKS:
+        numerator += sum(wcets)
+    else:
+        numerator += sum(wcets[: h - 1])
+    if denominator > 0:
+        return DeltaBound(numerator / denominator)
+    return NoDeltaBound(denominator)
+
+
+def dense_first_violation(
+    ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
+) -> Optional[int]:
+    """Smallest delta in [lo, hi] where check_condition fails, window by window."""
+    for delta in range(lo, hi + 1):
+        if not check_condition(ts, k, delta, config)[0]:
+            return delta
+    return None

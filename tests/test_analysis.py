@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gangsched import analysis
 from gangsched.analysis import (
     AnalysisConfig,
     CarryInStrategy,
@@ -12,7 +15,10 @@ from gangsched.analysis import (
     Inapplicable,
     NoDeltaBound,
     NotProven,
+    SCAN_GUARD,
+    ScanGuardError,
     Variant,
+    _SCAN_CHUNK,
     _aggregate_carry,
     _first_violation,
     _first_violation_block,
@@ -27,6 +33,8 @@ from gangsched.analysis import (
     scan_upper_bound,
 )
 from gangsched.model import GangTask, TaskSystem
+
+from oracles import dense_first_violation, fraction_scan_upper_bound
 
 ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
 STRICT = AnalysisConfig(variant=Variant.STRICT)
@@ -208,6 +216,64 @@ def test_scan_bound_single_task_exact_value():
     assert result == DeltaBound(Fraction(2))
 
 
+periods = st.one_of(st.integers(1, 20), st.integers(1, 10**6))
+
+
+@st.composite
+def bound_systems(draw):
+    """Systems with m in 1..16 and periods up to 1e6.
+
+    With near_zero drawn, the last task's wcet is picked so that
+    sum_i U_i*min(v_i, h) lands as close to h as integers allow for the
+    first task's h: the scan-bound denominator is then zero or within a
+    few 1/T of it, on either side.
+    """
+    m = draw(st.integers(1, 16))
+    shapes = [(draw(st.integers(1, m)), draw(periods))
+              for _ in range(draw(st.integers(1, 6)))]
+    h = m - shapes[0][0] + 1
+    near_zero = draw(st.booleans())
+    left = Fraction(h)
+    tasks = []
+    for i, (width, period) in enumerate(shapes):
+        clip = min(width, h)
+        if near_zero and i == len(shapes) - 1:
+            aim = round(left * period / clip) + draw(st.integers(-1, 1))
+            wcet = min(max(aim, 1), period)
+        else:
+            wcet = draw(st.integers(1, period))
+        left -= Fraction(wcet, period) * clip
+        deadline = draw(st.integers(wcet, period))
+        tasks.append(GangTask(i, width, wcet, deadline, period))
+    return TaskSystem(m, tuple(tasks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_systems())
+@example(TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6),
+                        GangTask(1, 4, 999999, 999999, 10**6))))
+@example(two_task_system())
+@example(TaskSystem(1, (GangTask(0, 1, 1, 1, 1),)))
+def test_integer_scan_bound_matches_fraction_oracle(ts):
+    for strategy in CarryInStrategy:
+        for k in range(ts.n):
+            got = scan_upper_bound(ts, k, strategy)
+            want = fraction_scan_upper_bound(ts, k, strategy)
+            assert type(got) is type(want)
+            value = got.value if isinstance(got, DeltaBound) else got.denominator
+            assert isinstance(value, Fraction)
+            assert got == want
+
+
+def test_scan_guard_system_bound_is_tiny_positive():
+    ts = TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6),
+                        GangTask(1, 4, 999999, 999999, 10**6)))
+    bound = scan_upper_bound(ts, 0, CarryInStrategy.TOP_H_MINUS_ONE)
+    assert isinstance(bound, DeltaBound) and bound.value > SCAN_GUARD
+    with pytest.raises(ScanGuardError):
+        analyze_task(ts, 0, STRICT)
+
+
 # --- per-task analysis ------------------------------------------------------
 
 def test_counterexample_original_verdict_is_inapplicable():
@@ -322,12 +388,7 @@ def test_vectorized_scan_matches_scalar_condition():
                            carry_in_strategy=CarryInStrategy.ALL_TASKS),
         ):
             block = _first_violation_block(ts, k, lo, hi, config)
-            scalar = None
-            for delta in range(lo, hi + 1):
-                if not check_condition(ts, k, delta, config)[0]:
-                    scalar = delta
-                    break
-            assert block == scalar
+            assert block == dense_first_violation(ts, k, lo, hi, config)
 
 
 def test_first_violation_chunking_consistent():
@@ -339,6 +400,77 @@ def test_first_violation_chunking_consistent():
         assert _first_violation(ts, k, lo, lo + 20, STRICT) == _first_violation(
             ts, k, lo, lo + 2000, STRICT
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
+
+
+def late_violation_system(period: int) -> TaskSystem:
+    """Under the original variant task 0 first fails at delta = 2 * period.
+
+    On one processor task 1 (C = D = T = 1) fills the rectangle exactly,
+    lhs == rhs, and task 0's own term stays 0 until its second job's
+    deadline at 2 * period adds one unit.
+    """
+    return TaskSystem(1, (GangTask(0, 1, 1, period, period), GangTask(1, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("offset", [0, 63, 64, 65, 191])
+def test_first_violation_at_block_edges_matches_dense_scan(offset):
+    period = 1000
+    ts = late_violation_system(period)
+    lo = 2 * period - offset
+    hi = lo + 400
+    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == lo + offset
+    for config in (
+        ORIGINAL,
+        STRICT,
+        AnalysisConfig(variant=Variant.ORIGINAL,
+                       carry_in_strategy=CarryInStrategy.ALL_TASKS),
+    ):
+        assert _first_violation(ts, 0, lo, hi, config) == dense_first_violation(
+            ts, 0, lo, hi, config
+        )
+
+
+def test_first_violation_just_past_a_full_chunk_matches_dense_scan():
+    period = _SCAN_CHUNK + 100
+    ts = late_violation_system(period)
+    lo = 2 * period - (_SCAN_CHUNK + 1)
+    hi = 2 * period + 10
+    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
+    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
+
+
+def record_blocks(monkeypatch) -> list:
+    blocks = []
+
+    def recording(ts, k, lo, hi, config):
+        blocks.append((lo, hi))
+        return _first_violation_block(ts, k, lo, hi, config)
+
+    monkeypatch.setattr(analysis, "_first_violation_block", recording)
+    return blocks
+
+
+def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
+    blocks = record_blocks(monkeypatch)
+    period = 1000
+    ts = late_violation_system(period)
+    # Under the strict variant lhs == rhs fails at the first window.
+    assert _first_violation(ts, 0, period, period + 10**5, STRICT) == period
+    assert blocks == [(period, period + 63)]
+
+
+def test_clean_scan_blocks_double_up_to_the_chunk_and_cover_the_range(monkeypatch):
+    blocks = record_blocks(monkeypatch)
+    period = 3 * _SCAN_CHUNK
+    ts = late_violation_system(period)
+    lo, hi = period, 2 * period - 1
+    assert _first_violation(ts, 0, lo, hi, ORIGINAL) is None
+    sizes = [stop - start + 1 for start, stop in blocks]
+    doubling = [64 << j for j in range((_SCAN_CHUNK // 64).bit_length())]
+    assert sizes[: len(doubling)] == doubling
+    assert all(size == _SCAN_CHUNK for size in sizes[len(doubling):-1])
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
 
 
 def test_integer_scan_catches_rational_violations():

@@ -105,6 +105,20 @@ def test_analyze_missing_file():
     assert result.returncode == 1
 
 
+def test_analyze_scan_over_guard_is_a_one_line_error(tmp_path):
+    # Near-zero positive denominator: task 0's scan runs to about 3.3e11.
+    path = tmp_path / "guard.txt"
+    path.write_text("m 4\ntask 1 1 1000000 1000000\ntask 4 999999 999999 1000000\n")
+    for flags in ((), ("--json",)):
+        result = run_cli("analyze", "--input", str(path), *flags)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "exceeds guard" in lines[0]
+
+
 # --- simulate ---------------------------------------------------------------
 
 def test_simulate_emits_trace_and_miss_trailer(cx_file):
