@@ -295,16 +295,16 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
     bound = scan_upper_bound(ts, k, config.carry_in_strategy)
     if isinstance(bound, DeltaBound):
         last = math.ceil(bound.value)
-        witness = _first_violation(ts, k, first, last, config)
-        if witness is not None:
-            return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
+        violation = _first_violation(ts, k, first, last, config)
+        if violation is not None:
+            return NotProven(k, *violation)
         return Certified(k, scanned_up_to=last)
     if config.variant is Variant.ORIGINAL:
         return Inapplicable(k, bound.denominator, scanned_up_to=None)
     cap = config.delta_cap if config.delta_cap is not None else default_delta_cap(ts)
-    witness = _first_violation(ts, k, first, cap, config)
-    if witness is not None:
-        return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
+    violation = _first_violation(ts, k, first, cap, config)
+    if violation is not None:
+        return NotProven(k, *violation)
     return Inapplicable(k, bound.denominator, scanned_up_to=cap)
 
 
@@ -355,8 +355,9 @@ class ScanGuardError(RuntimeError):
 
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[int]:
-    """Smallest integer delta in [lo, hi] violating the condition, or None."""
+) -> Optional[tuple[int, InterferenceSummary]]:
+    """Smallest integer delta in [lo, hi] violating the condition, with the
+    summary check_condition gives there, or None."""
     if hi < lo:
         return None
     if hi - lo + 1 > SCAN_GUARD:
@@ -365,8 +366,9 @@ def _first_violation(
         )
     if hi - lo + 1 <= _SCALAR_SCAN_MAX or not _fits_int64(ts, hi):
         for delta in range(lo, hi + 1):
-            if not check_condition(ts, k, delta, config)[0]:
-                return delta
+            holds, summary = check_condition(ts, k, delta, config)
+            if not holds:
+                return delta, summary
         return None
     start, size = lo, _FIRST_BLOCK
     while start <= hi:
@@ -380,8 +382,13 @@ def _first_violation(
 
 def _first_violation_block(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[int]:
-    """Vectorized scan of one contiguous block of window lengths."""
+) -> Optional[tuple[int, InterferenceSummary]]:
+    """Vectorized scan of one contiguous block of window lengths.
+
+    The summary of the first violated window is read from its column;
+    with_carry_in is base + extra = max(0, carry-in term), exactly as
+    check_condition computes it, and _fits_int64 keeps every entry exact.
+    """
     tk = ts.tasks[k]
     h = ts.processors - tk.width + 1
     deltas = np.arange(lo, hi + 1, dtype=np.int64)
@@ -419,7 +426,14 @@ def _first_violation_block(
     hits = np.nonzero(violated)[0]
     if hits.size == 0:
         return None
-    return int(deltas[hits[0]])
+    j = hits[0]
+    no_carry = tuple(base[:, j].tolist())
+    extras = tuple(extra[:, j].tolist())
+    with_carry = tuple(b + e for b, e in zip(no_carry, extras))
+    summary = InterferenceSummary(
+        no_carry, with_carry, extras, int(carry[j]), int(lhs[j]), int(rhs[j])
+    )
+    return int(deltas[j]), summary
 
 
 def _fits_int64(ts: TaskSystem, hi: int) -> bool:

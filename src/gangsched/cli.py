@@ -329,16 +329,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = simulate_synchronous(
         ts, horizon=horizon, stop_on_miss=not args.continue_after_miss
     )
-    lines = ["slot,task,processor"]
+    parts = ["slot,task,processor\n"]
     if not args.no_trace:
-        for slot, allocation in enumerate(trace.slots):
-            for task, procs in allocation:
-                for proc in procs:
-                    lines.append(f"{slot},{task},{proc}")
+        for start, end, allocation in trace.runs:
+            # One row per (task, processor), the slot number filled in per slot.
+            rows = "".join(
+                f"{{0}},{task},{proc}\n" for task, procs in allocation for proc in procs
+            )
+            if rows:
+                parts.extend(map(rows.format, range(start, end)))
     if trace.first_miss is not None:
         task, deadline = trace.first_miss
-        lines.append(f"MISS,{task},{deadline}")
-    _write_text("\n".join(lines) + "\n", args.out)
+        parts.append(f"MISS,{task},{deadline}\n")
+    _write_text("".join(parts), args.out)
     return EXIT_NOT_PROVEN if trace.first_miss is not None else EXIT_OK
 
 

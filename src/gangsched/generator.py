@@ -32,10 +32,6 @@ class DeadlineMode(Enum):
     CONSTRAINED = "constrained"  # D uniform integer in [C, T]
 
 
-class WidthMode(Enum):
-    UNIFORM = "uniform"  # v uniform integer in [1, m]
-
-
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for one family of random task systems.
@@ -50,7 +46,6 @@ class GenParams:
     t_min: int = 10
     t_max: int = 1000
     deadline_mode: DeadlineMode = DeadlineMode.CONSTRAINED
-    width_mode: WidthMode = WidthMode.UNIFORM
     seed: int = 0
 
     def __post_init__(self):

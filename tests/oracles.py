@@ -4,7 +4,8 @@ These deliberately avoid the closed forms under test: demand is counted by
 enumerating release patterns and sliding windows over an explicit
 execution timeline.  The scan references keep the plain forms that the
 optimized analysis code replaced: the scan bound in Fraction arithmetic
-and the window scan as one check_condition call per window length.
+and the window scan as one check_condition call per window length.  The
+schedule reference steps the simulator's rules one slot at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from gangsched.analysis import (
     AnalysisConfig,
     CarryInStrategy,
     DeltaBound,
+    InterferenceSummary,
     NoDeltaBound,
     check_condition,
 )
@@ -111,9 +113,43 @@ def fraction_scan_upper_bound(
 
 def dense_first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[int]:
-    """Smallest delta in [lo, hi] where check_condition fails, window by window."""
+) -> Optional[tuple[int, InterferenceSummary]]:
+    """Smallest delta in [lo, hi] where check_condition fails, window by
+    window, with check_condition's summary there."""
     for delta in range(lo, hi + 1):
-        if not check_condition(ts, k, delta, config)[0]:
-            return delta
+        holds, summary = check_condition(ts, k, delta, config)
+        if not holds:
+            return delta, summary
     return None
+
+
+def reference_trace(ts: TaskSystem, horizon: int):
+    """Slot-by-slot Gang EDF schedule of the synchronous scenario.
+
+    Steps one unit slot at a time and continues after a miss; returns the
+    per-slot allocations and the first miss as (task index, deadline).
+    Shares no code with the event-driven simulator.
+    """
+    jobs = []  # [deadline, index, release, remaining, width]
+    slots = []
+    first_miss = None
+    for now in range(horizon + 1):
+        if now < horizon:
+            for t in ts.tasks:
+                if now % t.period == 0:
+                    jobs.append([now + t.deadline, t.index, now, t.wcet, t.width])
+        jobs = [j for j in jobs if j[3] > 0]
+        late = sorted((j for j in jobs if j[0] <= now), key=lambda j: (j[0], j[1]))
+        if late and first_miss is None:
+            first_miss = (late[0][1], late[0][0])
+        if now == horizon:
+            break
+        next_free = 0
+        allocation = []
+        for j in sorted(jobs, key=lambda j: (j[0], j[1], j[2])):
+            if j[4] <= ts.processors - next_free:
+                allocation.append((j[1], tuple(range(next_free, next_free + j[4]))))
+                next_free += j[4]
+                j[3] -= 1
+        slots.append(tuple(allocation))
+    return tuple(slots), first_miss

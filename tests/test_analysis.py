@@ -402,6 +402,32 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
+@pytest.mark.parametrize("scalar_max", [0, 10**9], ids=["vector", "scalar"])
+def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, scalar_max):
+    # The scan hands back the summary it computed at the witness; on both
+    # scan paths it must equal a fresh check_condition there.
+    monkeypatch.setattr(analysis, "_SCALAR_SCAN_MAX", scalar_max)
+    rng = random.Random(16)
+    seen = 0
+    for _ in range(60):
+        ts = random_system(rng)
+        for config in (
+            ORIGINAL,
+            STRICT,
+            AnalysisConfig(variant=Variant.STRICT,
+                           carry_in_strategy=CarryInStrategy.ALL_TASKS),
+        ):
+            for k in range(ts.n):
+                outcome = analyze_task(ts, k, config)
+                if isinstance(outcome, NotProven):
+                    seen += 1
+                    expected = check_condition(ts, k, outcome.witness_delta, config)[1]
+                    assert outcome.summary == expected
+                    assert all(type(v) is int for v in outcome.summary.no_carry_in)
+                    assert type(outcome.summary.lhs) is int
+    assert seen >= 100
+
+
 def late_violation_system(period: int) -> TaskSystem:
     """Under the original variant task 0 first fails at delta = 2 * period.
 
@@ -418,7 +444,7 @@ def test_first_violation_at_block_edges_matches_dense_scan(offset):
     ts = late_violation_system(period)
     lo = 2 * period - offset
     hi = lo + 400
-    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == lo + offset
+    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL)[0] == lo + offset
     for config in (
         ORIGINAL,
         STRICT,
@@ -435,8 +461,10 @@ def test_first_violation_just_past_a_full_chunk_matches_dense_scan():
     ts = late_violation_system(period)
     lo = 2 * period - (_SCAN_CHUNK + 1)
     hi = 2 * period + 10
-    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
-    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
+    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL)[0] == 2 * period
+    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == dense_first_violation(
+        ts, 0, lo, hi, ORIGINAL
+    )
 
 
 def record_blocks(monkeypatch) -> list:
@@ -455,7 +483,7 @@ def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
-    assert _first_violation(ts, 0, period, period + 10**5, STRICT) == period
+    assert _first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
     assert blocks == [(period, period + 63)]
 
 

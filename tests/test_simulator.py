@@ -2,14 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gangsched.model import GangTask, TaskSystem
+from gangsched import cli
+from gangsched.model import GangTask, TaskSystem, print_task_system
 from gangsched.simulator import (
     HorizonOverflowError,
     check_no_miss,
     hyperperiod,
     simulate_synchronous,
 )
+
+from oracles import reference_trace
 
 
 def two_task_system() -> TaskSystem:
@@ -26,33 +31,6 @@ def random_system(rng: random.Random, n_max: int = 5, m_max: int = 4,
         deadline = rng.randint(wcet, period)
         tasks.append(GangTask(i, rng.randint(1, m), wcet, deadline, period))
     return TaskSystem(m, tuple(tasks))
-
-
-def reference_trace(ts: TaskSystem, horizon: int):
-    """Independent re-implementation used as a behavioral oracle."""
-    jobs = []  # [deadline, index, release, remaining, width]
-    slots = []
-    first_miss = None
-    for now in range(horizon + 1):
-        if now < horizon:
-            for t in ts.tasks:
-                if now % t.period == 0:
-                    jobs.append([now + t.deadline, t.index, now, t.wcet, t.width])
-        live = [j for j in jobs if j[3] > 0]
-        late = sorted((j for j in live if j[0] <= now), key=lambda j: (j[0], j[1]))
-        if late and first_miss is None:
-            first_miss = (late[0][1], late[0][0])
-        if now == horizon:
-            break
-        next_free = 0
-        allocation = []
-        for j in sorted(live, key=lambda j: (j[0], j[1], j[2])):
-            if j[4] <= ts.processors - next_free:
-                allocation.append((j[1], tuple(range(next_free, next_free + j[4]))))
-                next_free += j[4]
-                j[3] -= 1
-        slots.append(tuple(allocation))
-    return tuple(slots), first_miss
 
 
 # --- hyperperiod -------------------------------------------------------------
@@ -245,3 +223,117 @@ def test_determinism():
         first = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         second = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         assert first == second
+
+
+# --- event-driven runs against the slot-by-slot reference --------------------
+
+def assert_canonical_runs(trace, length: int) -> None:
+    """runs tile [0, length) from 0, none empty, adjacent allocations differ."""
+    reached = 0
+    for start, end, _ in trace.runs:
+        assert start == reached < end
+        reached = end
+    assert reached == length
+    assert all(a[2] != b[2] for a, b in zip(trace.runs, trace.runs[1:]))
+
+
+@st.composite
+def simulated_systems(draw):
+    m = draw(st.integers(1, 8))
+    tasks = []
+    for i in range(draw(st.integers(1, 5))):
+        period = draw(st.integers(1, 10**4))
+        wcet = draw(st.integers(1, period))
+        deadline = draw(st.integers(wcet, period))
+        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
+    # The reference costs O(horizon * unfinished jobs), and an overloaded
+    # system run past its miss piles up jobs without bound, so the horizon
+    # is capped at about 2,000 released jobs; with long periods it still
+    # reaches 2e4 slots.
+    jobs_cap = int(2000 / sum(1 / t.period for t in tasks))
+    return TaskSystem(m, tuple(tasks)), draw(st.integers(0, min(2 * 10**4, jobs_cap)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulated_systems())
+@example((two_task_system(), 5))
+@example((TaskSystem(3, tuple(GangTask(i, 1, 4, 4, 4) for i in range(3))), 12))
+def test_event_driven_simulation_matches_slot_reference(case):
+    ts, horizon = case
+    ref_slots, ref_miss = reference_trace(ts, horizon)
+
+    trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
+    assert trace.slots == ref_slots
+    assert trace.first_miss == ref_miss
+    assert_canonical_runs(trace, len(trace.slots))
+
+    stopped = simulate_synchronous(ts, horizon=horizon)
+    cut = horizon if ref_miss is None else ref_miss[1]
+    assert stopped.slots == ref_slots[:cut]
+    assert stopped.first_miss == ref_miss
+    assert_canonical_runs(stopped, len(stopped.slots))
+
+
+def long_period_system() -> TaskSystem:
+    """Misses at 6e7: tasks 0 and 1 fill the platform until task 0
+    completes at 4e7, and task 2 then runs only 2e7 of its 6e7 units
+    before its deadline."""
+    return TaskSystem(4, (
+        GangTask(0, 2, 4 * 10**7, 4 * 10**7, 10**8),
+        GangTask(1, 2, 5 * 10**7, 5 * 10**7, 10**8 + 7),
+        GangTask(2, 2, 6 * 10**7, 6 * 10**7, 10**8 - 3),
+    ))
+
+
+def test_runs_grow_with_events_not_with_the_horizon():
+    ts = long_period_system()
+    horizon = 10**9
+    trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
+    assert trace.first_miss == (2, 6 * 10**7)
+    releases = sum(-(-horizon // t.period) for t in ts.tasks)
+    assert len(trace.runs) <= 3 * releases + 1
+    assert trace.runs[0][0] == 0 and trace.runs[-1][1] == horizon
+    assert all(a[1] == b[0] for a, b in zip(trace.runs, trace.runs[1:]))
+
+
+def reference_csv(ts: TaskSystem, horizon: int, no_trace: bool, stop_on_miss: bool) -> str:
+    slots, miss = reference_trace(ts, horizon)
+    if stop_on_miss and miss is not None:
+        slots = slots[: miss[1]]
+    lines = ["slot,task,processor"]
+    if not no_trace:
+        lines += [f"{slot},{task},{proc}"
+                  for slot, allocation in enumerate(slots)
+                  for task, procs in allocation for proc in procs]
+    if miss is not None:
+        lines.append(f"MISS,{miss[0]},{miss[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_simulate_csv_bytes_match_reference_rows(tmp_path):
+    rng = random.Random(36)
+    source = tmp_path / "ts.txt"
+    out = tmp_path / "out.csv"
+    for _ in range(40):
+        ts = random_system(rng, m_max=6, t_max=30)
+        source.write_text(print_task_system(ts))
+        horizon = rng.randint(0, 120)
+        for no_trace in (False, True):
+            for stop_on_miss in (True, False):
+                argv = ["simulate", "--input", str(source), "--horizon", str(horizon),
+                        "--out", str(out)]
+                argv += ["--no-trace"] * no_trace + ["--continue-after-miss"] * (not stop_on_miss)
+                code = cli.main(argv)
+                expected = reference_csv(ts, horizon, no_trace, stop_on_miss)
+                assert out.read_bytes() == expected.encode()
+                assert code == (2 if "MISS," in expected else 0)
+
+
+def test_simulate_no_trace_over_a_billion_slots(tmp_path):
+    source = tmp_path / "ts.txt"
+    source.write_text(print_task_system(long_period_system()))
+    out = tmp_path / "out.csv"
+    code = cli.main(["simulate", "--input", str(source), "--horizon", str(10**9),
+                     "--continue-after-miss", "--no-trace", "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == f"slot,task,processor\nMISS,2,{6 * 10**7}\n"
