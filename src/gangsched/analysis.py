@@ -17,6 +17,32 @@ non-positive denominator leaves the scan interval undefined; the outcome
 is then the first-class verdict Inapplicable, never a schedulability
 claim in either direction.
 
+The scan evaluates only the window lengths where the condition can turn.
+For delta >= D_k every per-task term is min(demand, limit) * min(v_i, h_k):
+demand is hbf_i or hbf'_i (less C_k for task k itself) and limit is
+delta - C_k (delta - D_k for task k); the max(0, .) clamps are inactive.
+The terms change form only at these integer breakpoints, for each task i:
+
+  - D_i + j*T_i, where hbf_i steps up;
+  - j*T_i and j*T_i + C_i, where hbf'_i changes slope;
+  - j*C_i + C_k (i != k) and j*C_k + D_k (i == k), where the two sides of
+    a min term can cross (on a rising piece of hbf' both sides have slope
+    1 and never cross); j <= floor(hi/T_i) + 1 covers every demand value
+    reached up to the end hi of the scan.
+
+Between consecutive breakpoints p < q every term is linear on [p, q), as
+hbf is right-continuous.  So are the no-carry-in sum, the rectangle area
+and each carry-in extra; the carry-in bound, the sum of the largest
+h_k - 1 extras, is a maximum of linear functions and so convex.  Hence
+lhs - rhs is convex on [p, q).  Its linear continuation to q lies at or
+below its value at q: hbf only steps up, and lhs never falls when a
+demand rises (the no-carry-in term gains what the extra loses, and the
+carry-in bound falls by at most that).  Two consequences:
+
+  - a segment with no violation at either end has none inside it;
+  - in a segment that holds at p and is violated at q, the violated
+    windows form one run ending at q, so bisection finds the first.
+
 All arithmetic is exact (integers and Fraction); there are no tolerances
 anywhere in this module.
 """
@@ -280,7 +306,11 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
     are constant while the width, the arrival offset and the carry-in
     selection vary piecewise-linearly, making lhs - rhs convex there;
     its maximum sits on an integer endpoint, so any real violation
-    implies an integer one no further than ceil(bound).
+    implies an integer one no further than ceil(bound).  The same
+    convexity holds on each segment between the demand breakpoints
+    listed in the module docstring, so the scan evaluates the segment
+    ends only and bisects the first segment whose right end is violated;
+    its cost follows the number of breakpoints, not of windows.
 
     With an undefined scan interval (denominator <= 0):
       - original: verdict Inapplicable.  The published procedure defines
@@ -330,19 +360,13 @@ def _aggregate_carry(extras: list[int], height: int, strategy: CarryInStrategy) 
     return sum(sorted(extras, reverse=True)[:keep])
 
 
-# Scans of at most this many windows run the scalar check_condition loop,
-# which stops at the first violated window; longer scans run in vectorized
-# blocks.  Scans whose values could overflow int64 stay scalar at any length.
-_SCALAR_SCAN_MAX = 48
-
-# Windows in the first vectorized block.  Each next block doubles, so a
-# violation at the first window costs one small block, while a long clean
-# scan reaches full-size blocks after a few steps.
+# Windows in the first scan block.  Each next block doubles, so a
+# violation at the first window costs one small block.  A bisection round
+# probes at most this many windows too.
 _FIRST_BLOCK = 64
 
-# Largest vectorized block; caps the int64 working arrays of one block at
-# a few times n * _SCAN_CHUNK entries.
-_SCAN_CHUNK = 1 << 16
+# Most candidate points in one block; caps the (n, points) working arrays.
+_SCAN_CHUNK = 1 << 14
 
 # Refuse-to-run guard: a near-zero positive denominator can demand an
 # absurdly long exact scan; fail loudly instead of grinding.
@@ -356,90 +380,92 @@ class ScanGuardError(RuntimeError):
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
 ) -> Optional[tuple[int, InterferenceSummary]]:
-    """Smallest integer delta in [lo, hi] violating the condition, with the
-    summary check_condition gives there, or None."""
+    """Smallest integer delta in [lo, hi] (lo >= D_k) violating the
+    condition, with the summary check_condition gives there, or None.
+
+    Each block evaluates its two ends and the breakpoints inside it (see
+    the module docstring); its first violated point either is the answer
+    or ends the one segment that bisection narrows to its first violation.
+    """
     if hi < lo:
         return None
     if hi - lo + 1 > SCAN_GUARD:
-        raise ScanGuardError(
-            f"task {k}: scan over {hi - lo + 1} window lengths exceeds guard {SCAN_GUARD}"
-        )
-    if hi - lo + 1 <= _SCALAR_SCAN_MAX or not _fits_int64(ts, hi):
-        for delta in range(lo, hi + 1):
-            holds, summary = check_condition(ts, k, delta, config)
-            if not holds:
-                return delta, summary
-        return None
+        raise ScanGuardError(f"task {k}: scan over {hi - lo + 1} window lengths "
+                             f"exceeds guard {SCAN_GUARD}")
+    dtype = np.int64 if _fits_int64(ts, hi) else object
+    h = ts.processors - ts.tasks[k].width + 1
+    rows = [(t.wcet, t.deadline, t.period, min(t.width, h)) for t in ts.tasks]
+    tasks = np.array(rows, dtype).T[..., None]
+    wcet, deadline, period, _ = tasks
+    # The four breakpoint families of each task: first + j * step, j <= last.
+    cross = np.where(np.arange(ts.n)[:, None] == k, deadline[k], wcet[k])
+    first = np.stack([deadline, 0 * period, wcet, cross])
+    step = np.stack([period, period, period, wcet])
+    last = hi // period + 1
     start, size = lo, _FIRST_BLOCK
     while start <= hi:
         stop = min(start + size - 1, hi)
-        found = _first_violation_block(ts, k, start, stop, config)
-        if found is not None:
-            return found
-        start, size = stop + 1, min(2 * size, _SCAN_CHUNK)
+        j0 = np.maximum(0, (start - first + step - 1) // step)
+        count = np.maximum(0, np.minimum(last, (stop - first) // step) - j0 + 1)
+        if stop > start and count.sum() > _SCAN_CHUNK:
+            size = (stop - start + 1) // 2
+            continue
+        count = count.ravel().astype(np.int64)
+        j = np.repeat(j0.ravel() - np.cumsum(count) + count, count) + np.arange(count.sum())
+        inner = np.repeat(first.ravel(), count) + j * np.repeat(step.ravel(), count)
+        probes = np.unique(np.concatenate([inner, np.array([start, stop], dtype)]))
+        held, found = start - 1, None
+        while True:
+            violated, arrays = _evaluate(ts, k, tasks, probes, config)
+            hits = np.flatnonzero(violated)
+            if hits.size:
+                col = hits[0]
+                found = int(probes[col]), _summary(arrays, col)
+                held = int(probes[col - 1]) if col else held
+            elif found is None:
+                break
+            else:
+                held = int(probes[-1])
+            if found[0] - held == 1:
+                return found
+            # The violated windows in (held, found] run up to found.
+            gap = -(-(found[0] - held) // _FIRST_BLOCK)
+            probes = np.array(range(held + gap, found[0], gap), dtype)
+        start, size = stop + 1, 2 * (stop - start + 1)
     return None
 
 
-def _first_violation_block(
-    ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[tuple[int, InterferenceSummary]]:
-    """Vectorized scan of one contiguous block of window lengths.
-
-    The summary of the first violated window is read from its column;
-    with_carry_in is base + extra = max(0, carry-in term), exactly as
-    check_condition computes it, and _fits_int64 keeps every entry exact.
-    """
+def _evaluate(ts: TaskSystem, k: int, tasks: np.ndarray, points: np.ndarray,
+              config: AnalysisConfig) -> tuple[np.ndarray, tuple]:
+    """The condition at each point for all tasks at once: whether it is
+    violated, and the arrays _summary reads.  tasks holds the (n, 1)
+    columns wcet, deadline, period and min(v_i, h_k)."""
+    wcet, deadline, period, clip = tasks
     tk = ts.tasks[k]
     h = ts.processors - tk.width + 1
-    deltas = np.arange(lo, hi + 1, dtype=np.int64)
-    width = deltas - tk.wcet
-    offset = deltas - tk.deadline
-
-    base = np.empty((ts.n, deltas.size), dtype=np.int64)
-    extra = np.empty_like(base)
-    for i, t in enumerate(ts.tasks):
-        clip = min(t.width, h)
-        demand = np.maximum(0, (deltas - t.deadline) // t.period + 1) * t.wcet
-        demand_ci = (deltas // t.period) * t.wcet + np.minimum(
-            t.wcet, deltas % t.period
-        )
-        if i == k:
-            b1 = np.minimum(demand - t.wcet, offset)
-            b2 = np.minimum(demand_ci - t.wcet, offset)
-        else:
-            b1 = np.minimum(demand, width)
-            b2 = np.minimum(demand_ci, width)
-        base[i] = np.maximum(0, b1 * clip)
-        extra[i] = np.maximum(0, b2 * clip) - base[i]
-
-    if config.carry_in_strategy is CarryInStrategy.ALL_TASKS or h - 1 >= ts.n:
-        carry = extra.sum(axis=0)
-    elif h - 1 <= 0:
-        carry = np.zeros(deltas.size, dtype=np.int64)
-    else:
-        split = ts.n - (h - 1)
-        carry = np.partition(extra, split - 1, axis=0)[split:].sum(axis=0)
-
+    own = np.arange(ts.n)[:, None] == k
+    width = points - tk.wcet
+    limit = np.where(own, points - tk.deadline, width)
+    demand = np.maximum(0, (points - deadline) // period + 1) * wcet - own * wcet[k]
+    demand_ci = points // period * wcet + np.minimum(wcet, points % period) - own * wcet[k]
+    base = np.maximum(0, np.minimum(demand, limit) * clip)
+    extra = np.maximum(0, np.minimum(demand_ci, limit) * clip) - base
+    keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else h - 1
+    carry = np.sort(extra, axis=0)[ts.n - min(max(keep, 0), ts.n):].sum(axis=0)
     lhs = base.sum(axis=0) + carry
     rhs = width * h
     violated = lhs >= rhs if config.variant is Variant.STRICT else lhs > rhs
-    hits = np.nonzero(violated)[0]
-    if hits.size == 0:
-        return None
-    j = hits[0]
-    no_carry = tuple(base[:, j].tolist())
-    extras = tuple(extra[:, j].tolist())
-    with_carry = tuple(b + e for b, e in zip(no_carry, extras))
-    summary = InterferenceSummary(
-        no_carry, with_carry, extras, int(carry[j]), int(lhs[j]), int(rhs[j])
-    )
-    return int(deltas[j]), summary
+    return violated, (base, extra, carry, lhs, rhs)
+
+
+def _summary(arrays: tuple, j: int) -> InterferenceSummary:
+    """check_condition's summary, read from column j of _evaluate's arrays."""
+    base, extra, carry, lhs, rhs = (a[..., j].tolist() for a in arrays)
+    with_carry = tuple(b + e for b, e in zip(base, extra))
+    return InterferenceSummary(tuple(base), with_carry, tuple(extra), carry, lhs, rhs)
 
 
 def _fits_int64(ts: TaskSystem, hi: int) -> bool:
-    """Conservative overflow check for the vectorized integer scan."""
-    worst_demand = max(
-        (hi // t.period + 1) * t.wcet + t.wcet for t in ts.tasks
-    )
-    worst_term = max(worst_demand, hi) * ts.processors
-    return 2 * ts.n * worst_term < 2**62
+    """Conservative overflow check: int64 arrays hold every scan value."""
+    worst = max(max(t.period, (hi // t.period + 2) * t.wcet) for t in ts.tasks)
+    return 2 * ts.n * max(worst, hi) * ts.processors < 2**62

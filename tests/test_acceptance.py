@@ -27,6 +27,7 @@ from gangsched.analysis import (
     interference_rectangle,
     scan_upper_bound,
 )
+from gangsched.cli import counterexample_system
 from gangsched.cli import main as cli_main
 from gangsched.demand import hbf, hbf_prime
 from gangsched.generator import DeadlineMode, GenParams, generate_task_system
@@ -46,8 +47,8 @@ STRICT = AnalysisConfig(variant=Variant.STRICT)
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 
 
-def counterexample_system() -> TaskSystem:
-    return TaskSystem(3, (GangTask(0, 2, 2, 2, 2), GangTask(1, 2, 1, 2, 2)))
+def test_counterexample_system_matches_its_text():
+    assert counterexample_system() == parse_task_system(COUNTEREXAMPLE_TEXT)
 
 
 def report(number: int, description: str, ok: bool) -> None:

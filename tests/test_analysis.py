@@ -13,15 +13,17 @@ from gangsched.analysis import (
     Certified,
     DeltaBound,
     Inapplicable,
+    InterferenceSummary,
     NoDeltaBound,
     NotProven,
     SCAN_GUARD,
     ScanGuardError,
     Variant,
+    _FIRST_BLOCK,
     _SCAN_CHUNK,
     _aggregate_carry,
     _first_violation,
-    _first_violation_block,
+    _fits_int64,
     analyze,
     analyze_task,
     carry_in_bound,
@@ -38,6 +40,8 @@ from oracles import dense_first_violation, fraction_scan_upper_bound
 
 ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
 STRICT = AnalysisConfig(variant=Variant.STRICT)
+ALL_CONFIGS = tuple(AnalysisConfig(variant=v, carry_in_strategy=c)
+                    for v in Variant for c in CarryInStrategy)
 
 
 def two_task_system() -> TaskSystem:
@@ -381,14 +385,71 @@ def test_vectorized_scan_matches_scalar_condition():
         k = rng.randrange(ts.n)
         lo = ts.tasks[k].deadline
         hi = lo + 300
-        for config in (
-            ORIGINAL,
-            STRICT,
-            AnalysisConfig(variant=Variant.STRICT,
-                           carry_in_strategy=CarryInStrategy.ALL_TASKS),
-        ):
-            block = _first_violation_block(ts, k, lo, hi, config)
-            assert block == dense_first_violation(ts, k, lo, hi, config)
+        for config in ALL_CONFIGS:
+            got = _first_violation(ts, k, lo, hi, config)
+            assert got == dense_first_violation(ts, k, lo, hi, config)
+
+
+def late_violation_system(period: int) -> TaskSystem:
+    """Under the original variant task 0 first fails at delta = 2 * period.
+
+    On one processor task 1 (C = D = T = 1) fills the rectangle exactly,
+    lhs == rhs, and task 0's own term stays 0 until its second job's
+    deadline at 2 * period adds one unit.
+    """
+    return TaskSystem(1, (GangTask(0, 1, 1, period, period), GangTask(1, 1, 1, 1, 1)))
+
+
+@st.composite
+def scan_cases(draw):
+    """A system, a task k and a scan range [lo, hi] with lo >= D_k.
+
+    Few tasks and long periods leave long segments between breakpoints,
+    where the first violation is found by bisection.
+    """
+    m = draw(st.integers(1, 8))
+    t_max = draw(st.sampled_from([4, 16, 40, 300]))
+    tasks = []
+    for i in range(draw(st.integers(1, 5))):
+        period = draw(st.integers(1, t_max))
+        wcet = draw(st.integers(1, period))
+        deadline = draw(st.integers(wcet, period))
+        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
+    ts = TaskSystem(m, tuple(tasks))
+    k = draw(st.integers(0, ts.n - 1))
+    lo = ts.tasks[k].deadline + draw(st.one_of(st.just(0), st.integers(0, 400)))
+    return ts, k, lo, lo + draw(st.integers(0, 400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+@example((late_violation_system(1000), 0, 2000, 2400))
+@example((late_violation_system(1000), 0, 1937, 2337))
+@example((late_violation_system(1000), 0, 1936, 2336))
+@example((late_violation_system(1000), 0, 1935, 2335))
+@example((late_violation_system(1000), 0, 1809, 2209))
+@example((two_task_system(), 1, 2, 60))
+# Each fails when one breakpoint family is left out: the first two
+# without the crossings j*C_i + C_k, the third without the ends
+# j*T_i + C_i of the rising pieces of hbf', the fourth without the steps
+# D_i + j*T_i of hbf, the last without the crossing at
+# j = floor(hi/T_i) + 1 of the task whose period exceeds hi.
+@example((TaskSystem(6, (GangTask(0, 3, 2, 3, 6), GangTask(1, 1, 2, 3, 3),
+                         GangTask(2, 3, 9, 10, 10))), 1, 3, 103))
+@example((TaskSystem(6, (GangTask(0, 1, 22, 29, 39), GangTask(1, 4, 25, 26, 32),
+                         GangTask(2, 2, 6, 14, 14))), 0, 29, 129))
+@example((TaskSystem(4, (GangTask(0, 2, 8, 12, 15), GangTask(1, 2, 10, 10, 10))),
+          0, 12, 112))
+@example((TaskSystem(5, (GangTask(0, 5, 6, 8, 14), GangTask(1, 4, 12, 15, 15))),
+          0, 8, 108))
+@example((TaskSystem(8, (GangTask(0, 3, 11, 15, 15), GangTask(1, 4, 13, 47, 61))),
+          0, 15, 40))
+def test_first_violation_matches_dense_scan(case):
+    ts, k, lo, hi = case
+    for config in ALL_CONFIGS:
+        assert _first_violation(ts, k, lo, hi, config) == dense_first_violation(
+            ts, k, lo, hi, config
+        )
 
 
 def test_first_violation_chunking_consistent():
@@ -402,21 +463,14 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
-@pytest.mark.parametrize("scalar_max", [0, 10**9], ids=["vector", "scalar"])
-def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, scalar_max):
-    # The scan hands back the summary it computed at the witness; on both
-    # scan paths it must equal a fresh check_condition there.
-    monkeypatch.setattr(analysis, "_SCALAR_SCAN_MAX", scalar_max)
+def test_not_proven_summary_is_check_condition_at_the_witness():
+    # The scan hands back the summary it computed at the witness; it must
+    # equal a fresh check_condition there.
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
         ts = random_system(rng)
-        for config in (
-            ORIGINAL,
-            STRICT,
-            AnalysisConfig(variant=Variant.STRICT,
-                           carry_in_strategy=CarryInStrategy.ALL_TASKS),
-        ):
+        for config in ALL_CONFIGS:
             for k in range(ts.n):
                 outcome = analyze_task(ts, k, config)
                 if isinstance(outcome, NotProven):
@@ -428,14 +482,60 @@ def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, scala
     assert seen >= 100
 
 
-def late_violation_system(period: int) -> TaskSystem:
-    """Under the original variant task 0 first fails at delta = 2 * period.
+def assert_int_summary(summary: InterferenceSummary) -> None:
+    values = (summary.no_carry_in + summary.with_carry_in + summary.carry_in_extra
+              + (summary.carry_in_bound, summary.lhs, summary.rhs))
+    assert all(type(v) is int for v in values)
 
-    On one processor task 1 (C = D = T = 1) fills the rectangle exactly,
-    lhs == rhs, and task 0's own term stays 0 until its second job's
-    deadline at 2 * period adds one unit.
-    """
-    return TaskSystem(1, (GangTask(0, 1, 1, period, period), GangTask(1, 1, 1, 1, 1)))
+
+@pytest.mark.parametrize("period", [10**18, 10**19 + 7, 3 * 10**20])
+def test_scan_past_int64_matches_dense_scan(period):
+    # Values past int64 are evaluated in Python-int object arrays; the
+    # violation at 2 * period sits beyond the first block.
+    ts = late_violation_system(period)
+    lo, hi = 2 * period - 150, 2 * period + 20
+    assert not _fits_int64(ts, hi)
+    for config in ALL_CONFIGS:
+        got = _first_violation(ts, 0, lo, hi, config)
+        assert got == dense_first_violation(ts, 0, lo, hi, config)
+        assert_int_summary(got[1])
+    assert _first_violation(ts, 0, lo, hi, ORIGINAL)[0] == 2 * period
+
+
+def test_period_past_int64_in_a_short_scan_uses_object_arrays():
+    # Every demand value is small, but the period itself does not fit int64.
+    ts = TaskSystem(1, (GangTask(0, 1, 5, 100, 10**19), GangTask(1, 1, 50, 60, 100)))
+    assert not _fits_int64(ts, 151)
+    assert analyze_task(ts, 1, STRICT) == Certified(task_index=1, scanned_up_to=151)
+    for config in ALL_CONFIGS:
+        assert _first_violation(ts, 1, 60, 151, config) == dense_first_violation(
+            ts, 1, 60, 151, config
+        )
+
+
+def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
+    rng = random.Random(17)
+    seen = wide = 0
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        tasks = []
+        for i in range(rng.randint(1, 4)):
+            period = rng.randint(10**15, 10**19)
+            wcet = rng.choice([rng.randint(1, 100), rng.randint(1, period)])
+            deadline = rng.choice([wcet + rng.randint(0, 50), rng.randint(wcet, period)])
+            tasks.append(GangTask(i, rng.randint(1, m), wcet, min(deadline, period), period))
+        ts = TaskSystem(m, tuple(tasks))
+        k = rng.randrange(ts.n)
+        lo = ts.tasks[k].deadline + rng.choice([0, rng.randint(0, 10**6)])
+        hi = lo + 100
+        wide += not _fits_int64(ts, hi)
+        for config in ALL_CONFIGS:
+            got = _first_violation(ts, k, lo, hi, config)
+            assert got == dense_first_violation(ts, k, lo, hi, config)
+            if got is not None:
+                seen += 1
+                assert_int_summary(got[1])
+    assert wide >= 20 and seen >= 20
 
 
 @pytest.mark.parametrize("offset", [0, 63, 64, 65, 191])
@@ -456,49 +556,70 @@ def test_first_violation_at_block_edges_matches_dense_scan(offset):
         )
 
 
-def test_first_violation_just_past_a_full_chunk_matches_dense_scan():
-    period = _SCAN_CHUNK + 100
-    ts = late_violation_system(period)
-    lo = 2 * period - (_SCAN_CHUNK + 1)
-    hi = 2 * period + 10
-    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL)[0] == 2 * period
-    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == dense_first_violation(
-        ts, 0, lo, hi, ORIGINAL
-    )
-
-
 def record_blocks(monkeypatch) -> list:
-    blocks = []
+    """Every call of the point evaluator, as the list of its points."""
+    calls = []
+    evaluate = analysis._evaluate
 
-    def recording(ts, k, lo, hi, config):
-        blocks.append((lo, hi))
-        return _first_violation_block(ts, k, lo, hi, config)
+    def recording(ts, k, tasks, points, config):
+        calls.append(points.tolist())
+        return evaluate(ts, k, tasks, points, config)
 
-    monkeypatch.setattr(analysis, "_first_violation_block", recording)
-    return blocks
+    monkeypatch.setattr(analysis, "_evaluate", recording)
+    return calls
+
+
+def block_windows(calls: list) -> list:
+    return [points[-1] - points[0] + 1 for points in calls]
+
+
+def test_first_violation_just_past_a_full_chunk_matches_dense_scan(monkeypatch):
+    # Every window of this system is a breakpoint, so its blocks stop
+    # doubling once they hold a chunk of points; the violation lies past
+    # blocks that the chunk cut short.
+    calls = record_blocks(monkeypatch)
+    period = _SCAN_CHUNK
+    ts = late_violation_system(period)
+    lo, hi = 2 * period - _SCAN_CHUNK, 2 * period + 10
+    got = _first_violation(ts, 0, lo, hi, ORIGINAL)
+    assert got == dense_first_violation(ts, 0, lo, hi, ORIGINAL)
+    assert got[0] == 2 * period
+    windows = block_windows(calls)
+    assert any(b < 2 * a for a, b in zip(windows, windows[1:-1]))
+    assert all(len(points) <= _SCAN_CHUNK + 2 for points in calls)
 
 
 def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
-    blocks = record_blocks(monkeypatch)
+    calls = record_blocks(monkeypatch)
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
     assert _first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
-    assert blocks == [(period, period + 63)]
+    assert calls == [list(range(period, period + _FIRST_BLOCK))]
 
 
 def test_clean_scan_blocks_double_up_to_the_chunk_and_cover_the_range(monkeypatch):
-    blocks = record_blocks(monkeypatch)
+    calls = record_blocks(monkeypatch)
     period = 3 * _SCAN_CHUNK
     ts = late_violation_system(period)
     lo, hi = period, 2 * period - 1
     assert _first_violation(ts, 0, lo, hi, ORIGINAL) is None
-    sizes = [stop - start + 1 for start, stop in blocks]
-    doubling = [64 << j for j in range((_SCAN_CHUNK // 64).bit_length())]
-    assert sizes[: len(doubling)] == doubling
-    assert all(size == _SCAN_CHUNK for size in sizes[len(doubling):-1])
-    assert blocks[0][0] == lo and blocks[-1][1] == hi
-    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+    windows = block_windows(calls)
+    assert windows[:5] == [_FIRST_BLOCK << j for j in range(5)]
+    assert all(b == 2 * a or b <= a for a, b in zip(windows, windows[1:-1]))
+    assert all(len(points) <= _SCAN_CHUNK + 2 for points in calls)
+    assert max(len(points) for points in calls) > _SCAN_CHUNK // 8
+    assert calls[0][0] == lo and calls[-1][-1] == hi
+    assert all(b[0] == a[-1] + 1 for a, b in zip(calls, calls[1:]))
+
+
+def test_certified_long_period_scan_evaluates_breakpoints_not_windows(monkeypatch):
+    # The scan covers 25.7M windows; a dense scan evaluates every one.
+    calls = record_blocks(monkeypatch)
+    ts = TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6),
+                        GangTask(1, 4, 990000, 990000, 10**6)))
+    assert analyze_task(ts, 0, STRICT) == Certified(task_index=0, scanned_up_to=25740769)
+    assert sum(len(points) for points in calls) <= 2000
 
 
 def test_integer_scan_catches_rational_violations():
