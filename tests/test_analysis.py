@@ -463,9 +463,13 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
-def test_not_proven_summary_is_check_condition_at_the_witness():
+@pytest.mark.parametrize("int64", [True, False], ids=["vector", "scalar"])
+def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, int64):
     # The scan hands back the summary it computed at the witness; it must
-    # equal a fresh check_condition there.
+    # equal a fresh check_condition there, both from int64 arrays and from
+    # arrays of Python-int scalars.
+    if not int64:
+        monkeypatch.setattr(analysis, "_fits_int64", lambda ts, hi: False)
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
