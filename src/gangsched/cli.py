@@ -40,9 +40,7 @@ from .analysis import (
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import (
     GangTask,
-    ParseError,
     TaskSystem,
-    ValidationError,
     parse_task_system,
     print_task_system,
 )
@@ -89,12 +87,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (
         HorizonOverflowError, ScanGuardError, GenerationError, OSError, ValueError
-    ) as err:
+    ) as err:  # ValueError covers ParseError and ValidationError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -174,6 +169,18 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
         variant=Variant(args.variant),
         carry_in_strategy=CarryInStrategy(args.carry_in),
         delta_cap=args.delta_cap,
+    )
+
+
+def _gen_params(args: argparse.Namespace, load: Fraction) -> GenParams:
+    return GenParams(
+        n=args.n,
+        m=args.m,
+        target_load=load,
+        t_min=args.t_min,
+        t_max=args.t_max,
+        deadline_mode=DeadlineMode(args.deadline_mode),
+        seed=args.seed,
     )
 
 
@@ -357,15 +364,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     lines = [EXPERIMENT_HEADER]
     for j in range(1, args.points + 1):
         load = load_max * Fraction(j, args.points)
-        params = GenParams(
-            n=args.n,
-            m=args.m,
-            target_load=load,
-            t_min=args.t_min,
-            t_max=args.t_max,
-            deadline_mode=DeadlineMode(args.deadline_mode),
-            seed=args.seed,
-        )
+        params = _gen_params(args, load)
         certified = not_proven = inapplicable = sim_miss = gen_errors = 0
         for offset in range(args.trials):
             trial = (j - 1) * args.trials + offset
@@ -412,15 +411,7 @@ def _format_load(load: Fraction) -> str:
 # --- gen ------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
-        n=args.n,
-        m=args.m,
-        target_load=Fraction(args.load),
-        t_min=args.t_min,
-        t_max=args.t_max,
-        deadline_mode=DeadlineMode(args.deadline_mode),
-        seed=args.seed,
-    )
+    params = _gen_params(args, Fraction(args.load))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0

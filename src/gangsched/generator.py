@@ -14,6 +14,7 @@ independently derived streams, so trial generation order never matters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,13 +67,6 @@ def rand_fixed_sum(
 ) -> np.ndarray:
     """One vector x of length n with sum(x) == total and lo <= x_i <= hi,
     uniform over the constrained simplex."""
-    return rand_fixed_sum_batch(n, 1, total, lo, hi, rng)[0]
-
-
-def rand_fixed_sum_batch(
-    n: int, count: int, total: float, lo: float, hi: float, rng: np.random.Generator
-) -> np.ndarray:
-    """`count` independent fixed-sum vectors, shape (count, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if hi < lo:
@@ -80,65 +74,66 @@ def rand_fixed_sum_batch(
     if not (n * lo - 1e-12 <= total <= n * hi + 1e-12):
         raise ValueError(f"sum {total} outside feasible range [{n * lo}, {n * hi}]")
     if hi == lo:
-        return np.full((count, n), lo)
+        return np.full(n, lo)
     unit_sum = (total - n * lo) / (hi - lo)
-    unit = _unit_fixed_sum(n, min(max(unit_sum, 0.0), float(n)), count, rng)
+    unit = _unit_fixed_sum(n, min(max(unit_sum, 0.0), float(n)), rng)
     return lo + (hi - lo) * unit
 
 
-def _unit_fixed_sum(
-    n: int, s: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
     """Stafford's construction on [0, 1]^n with coordinate sum s."""
     if n == 1:
-        return np.full((count, 1), s)
+        return np.full(1, s)
 
     k = int(max(min(math.floor(s), n - 1), 0))
     s = max(min(s, float(k + 1)), float(k))
-    s1 = s - np.arange(k, k - n, -1, dtype=np.float64)
-    s2 = np.arange(k + n, k, -1, dtype=np.float64) - s
+    s1 = [s - (k - c) for c in range(n)]
+    s2 = [(k + n - c) - s for c in range(n)]
 
-    # w[l-1, c] is proportional to the volume of the level-l slice whose
-    # coordinate sum sits c - (k+1) integer steps above s; each slice is
-    # the union of a stay branch (same column one level down, factor s1)
-    # and a drop branch (previous column, factor s2).  t holds the
+    # w[c] (at level l) is proportional to the volume of the level-l slice
+    # whose coordinate sum sits c - (k+1) integer steps above s; each slice
+    # is the union of a stay branch (same column one level down, factor s1)
+    # and a drop branch (previous column, factor s2).  t[l-2][c] holds the
     # conditional probability of the drop branch, written two ways for
-    # numerical stability.
-    tiny = np.finfo(np.float64).tiny
-    huge = np.finfo(np.float64).max
-    w = np.zeros((n, n + 1))
-    w[0, 1] = huge
-    t = np.zeros((n - 1, n))
+    # numerical stability.  Rows of t are n wide and zero past column l-1,
+    # where the walk may still look.
+    tiny = sys.float_info.min
+    w = [0.0, sys.float_info.max]
+    t = []
     for i in range(2, n + 1):
-        stay = w[i - 2, 1 : i + 1] * s1[:i] / i
-        drop = w[i - 2, 0:i] * s2[n - i : n] / i
-        w[i - 1, 1 : i + 1] = stay + drop
-        total_w = w[i - 1, 1 : i + 1] + tiny
-        small_drop = s2[n - i : n] > s1[:i]
-        t[i - 2, 0:i] = (drop / total_w) * small_drop + (
-            1.0 - stay / total_w
-        ) * ~small_drop
+        w.append(0.0)
+        level = [0.0]
+        t_row = [0.0] * n
+        for c in range(i):
+            stay = w[c + 1] * s1[c] / i
+            drop = w[c] * s2[n - i + c] / i
+            level.append(stay + drop)
+            total_w = level[-1] + tiny
+            if s2[n - i + c] > s1[c]:
+                t_row[c] = drop / total_w
+            else:
+                t_row[c] = 1.0 - stay / total_w
+        w = level
+        t.append(t_row)
 
-    x = np.zeros((n, count))
-    rt = rng.uniform(size=(n - 1, count))  # simplex-type decisions
-    rs = rng.uniform(size=(n - 1, count))  # position inside the simplex
-    total = np.full(count, s)
-    j = np.full(count, k + 1, dtype=np.int64)
-    accum = np.zeros(count)
-    scale = np.ones(count)
+    x = [0.0] * n
+    rt = rng.uniform(size=n - 1).tolist()  # simplex-type decisions
+    rs = rng.uniform(size=n - 1)  # position inside the simplex
+    total = s
+    j = k + 1
+    accum = 0.0
+    scale = 1.0
     for i in range(n - 1, 0, -1):
-        e = (rt[n - i - 1] <= t[i - 1, j - 1]).astype(np.float64)
-        sx = rs[n - i - 1] ** (1.0 / i)
+        e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
+        # numpy power on one element: Python's ** differs in the last bit in ~1/4 of draws
+        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
         accum = accum + (1.0 - sx) * scale * total / (i + 1)
         scale = sx * scale
         x[n - i - 1] = accum + scale * e
         total = total - e
-        j = j - e.astype(np.int64)
+        j = j - int(e)
     x[n - 1] = accum + scale * total
-
-    for col in range(count):
-        x[:, col] = x[rng.permutation(n), col]
-    return x.T.copy()
+    return np.array(x)[rng.permutation(n)]
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

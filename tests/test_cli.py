@@ -187,6 +187,29 @@ def test_experiment_zero_trials_header_only(tmp_path):
     assert all(row.split(",")[1] == "0" for row in lines[1:])
 
 
+def test_experiment_auto_horizon_caps_systems_over_the_horizon_guard(tmp_path):
+    # --horizon auto simulates min(lcm, EXPERIMENT_SIM_CAP) slots; it must
+    # not ask for the full hyperperiod, which the guard refuses here.
+    import math
+    from fractions import Fraction
+
+    from gangsched.generator import GenParams, generate_task_system
+    from gangsched.simulator import HORIZON_GUARD
+
+    out = tmp_path / "auto.csv"
+    result = run_cli("experiment", "--points", "1", "--trials", "5", "--seed", "1",
+                     "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    fields = out.read_text().splitlines()[1].split(",")
+    trials, certified, not_proven, inapplicable, sim_miss, gen_errors = map(int, fields[1:7])
+    assert certified + not_proven + inapplicable == trials
+    assert trials + gen_errors == 5 and sim_miss <= trials
+    params = GenParams(n=10, m=6, target_load=Fraction(1), seed=1)
+    lcms = [math.lcm(*(t.period for t in generate_task_system(params, trial).tasks))
+            for trial in range(5)]
+    assert max(lcms) > HORIZON_GUARD
+
+
 # --- gen --------------------------------------------------------------------
 
 def test_gen_pipeline_hundred_files_all_analyzable(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from gangsched.generator import (
     GenerationError,
     generate_task_system,
     rand_fixed_sum,
-    rand_fixed_sum_batch,
     trial_rng,
 )
 from gangsched.model import is_valid
@@ -22,10 +22,14 @@ def test_single_element_is_forced():
     assert x[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def _draws(count, n, total, lo, hi, rng):
+    return np.array([rand_fixed_sum(n, total, lo, hi, rng) for _ in range(count)])
+
+
 def test_sum_and_bounds_hold_on_every_draw():
     rng = np.random.default_rng(1)
     for n, total in [(4, 2.0), (2, 0.3), (7, 6.5), (10, 1.0), (3, 3.0), (5, 0.0)]:
-        batch = rand_fixed_sum_batch(n, 200, total, 0.0, 1.0, rng)
+        batch = _draws(200, n, total, 0.0, 1.0, rng)
         assert batch.shape == (200, n)
         assert np.all(batch >= -1e-12) and np.all(batch <= 1 + 1e-12)
         assert np.max(np.abs(batch.sum(axis=1) - total)) <= 1e-9
@@ -33,7 +37,7 @@ def test_sum_and_bounds_hold_on_every_draw():
 
 def test_general_bounds_rescale():
     rng = np.random.default_rng(2)
-    batch = rand_fixed_sum_batch(5, 100, 12.0, 1.5, 3.0, rng)
+    batch = _draws(100, 5, 12.0, 1.5, 3.0, rng)
     assert np.all(batch >= 1.5 - 1e-9) and np.all(batch <= 3.0 + 1e-9)
     assert np.max(np.abs(batch.sum(axis=1) - 12.0)) <= 1e-9
 
@@ -48,7 +52,7 @@ def test_infeasible_sum_rejected():
 
 def test_coordinate_means_match_symmetry():
     # by symmetry each coordinate of a (3, sum 1.5) draw has mean 0.5
-    batch = rand_fixed_sum_batch(3, 100_000, 1.5, 0.0, 1.0, np.random.default_rng(4))
+    batch = _draws(100_000, 3, 1.5, 0.0, 1.0, np.random.default_rng(4))
     means = batch.mean(axis=0)
     stderr = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
     assert np.all(np.abs(means - 0.5) <= 3 * stderr)
@@ -60,11 +64,34 @@ def test_marginal_matches_rejection_sampling_oracle():
     cube = rng.uniform(size=(400_000, 3))
     kept = cube[np.abs(cube.sum(axis=1) - 1.5) <= 0.02][:, 0]
     assert kept.size > 5_000
-    fixed = rand_fixed_sum_batch(3, 50_000, 1.5, 0.0, 1.0, np.random.default_rng(6))[:, 0]
+    fixed = _draws(50_000, 3, 1.5, 0.0, 1.0, np.random.default_rng(6))[:, 0]
     grid = np.linspace(0.05, 0.95, 19)
     cdf_kept = np.array([(kept <= g).mean() for g in grid])
     cdf_fixed = np.array([(fixed <= g).mean() for g in grid])
     assert np.max(np.abs(cdf_kept - cdf_fixed)) < 0.05
+
+
+# sha256 of the float64 bytes of every draw in the grid below, recorded from
+# the earlier (count, n) batch implementation of the sampler; a changed value,
+# RNG call or call order anywhere in the grid changes it.
+GOLDEN_GRID_SHA256 = "9ee32566da0fb0591e39c93f000388689d6f434e6747fd1847ffcf413494279c"
+
+
+def test_draws_are_bit_identical_to_recorded_digest():
+    # n 1..20; fractional, integer and edge unit sums (slightly outside
+    # [0, n] too, inside the feasibility tolerance); three bound pairs,
+    # including hi == lo.  One stream for the whole grid: 2,640 draws.
+    rng = np.random.default_rng(20170517)
+    digest = hashlib.sha256()
+    for n in range(1, 21):
+        unit_sums = [-4e-13, 0.0, 0.37, 1.0, n / 3 + 0.05, float(n // 2),
+                     0.5 * n, n - 0.6, n - 1e-9, float(n), n + 4e-13]
+        for lo, hi in [(0.0, 1.0), (1.5, 3.0), (0.5, 0.5)]:
+            for u in unit_sums:
+                for _ in range(4):
+                    x = rand_fixed_sum(n, n * lo + (hi - lo) * u, lo, hi, rng)
+                    digest.update(x.tobytes())
+    assert digest.hexdigest() == GOLDEN_GRID_SHA256
 
 
 def test_same_seed_and_trial_reproduce_system():
