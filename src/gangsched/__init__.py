@@ -2,7 +2,6 @@
 
 from .analysis import (
     AnalysisConfig,
-    AnalysisPoint,
     AnalysisVerdict,
     CarryInStrategy,
     Certified,
@@ -15,15 +14,10 @@ from .analysis import (
     Variant,
     analyze,
     analyze_task,
-    carry_in_bound,
-    carry_in_extra,
     check_condition,
-    interference_no_carry_in,
-    interference_rectangle,
-    interference_with_carry_in,
     scan_upper_bound,
 )
-from .demand import dbf, hbf, hbf_prime
+from .demand import hbf, hbf_prime
 from .generator import (
     DeadlineMode,
     GenParams,
@@ -34,10 +28,8 @@ from .generator import (
 from .model import (
     GangTask,
     ParseError,
-    Rational,
     TaskSystem,
     ValidationError,
-    is_valid,
     parse_task_system,
     print_task_system,
     validate,
@@ -52,7 +44,6 @@ from .simulator import (
 
 __all__ = [
     "AnalysisConfig",
-    "AnalysisPoint",
     "AnalysisVerdict",
     "CarryInStrategy",
     "Certified",
@@ -67,7 +58,6 @@ __all__ = [
     "NoDeltaBound",
     "NotProven",
     "ParseError",
-    "Rational",
     "ScanGuardError",
     "ScheduleTrace",
     "TaskSystem",
@@ -75,19 +65,12 @@ __all__ = [
     "Variant",
     "analyze",
     "analyze_task",
-    "carry_in_bound",
-    "carry_in_extra",
     "check_condition",
     "check_no_miss",
-    "dbf",
     "generate_task_system",
     "hbf",
     "hbf_prime",
     "hyperperiod",
-    "interference_no_carry_in",
-    "interference_rectangle",
-    "interference_with_carry_in",
-    "is_valid",
     "parse_task_system",
     "print_task_system",
     "rand_fixed_sum",

@@ -93,17 +93,6 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class AnalysisPoint:
-    """One evaluation point of the test: task k at window length delta."""
-
-    task_index: int
-    delta: int  # window length, >= deadline of task k
-    arrival_offset: int  # delta - D_k: problem-job arrival within the window
-    width: int  # rectangle width: delta - C_k
-    height: int  # rectangle height: m - v_k + 1
-
-
-@dataclass(frozen=True)
 class InterferenceSummary:
     """Per-task interference at one analysis point, plus the comparison."""
 
@@ -184,73 +173,41 @@ class AnalysisVerdict:
         return SYSTEM_SCHEDULABLE
 
 
-def interference_rectangle(ts: TaskSystem, k: int, delta: int) -> AnalysisPoint:
-    """The minimal region busy work must fill for task k's job to miss."""
-    t = ts.tasks[k]
-    if delta < t.deadline:
-        raise ValueError(f"delta {delta} < deadline {t.deadline} of task {k}")
-    return AnalysisPoint(
-        task_index=k,
-        delta=delta,
-        arrival_offset=delta - t.deadline,
-        width=delta - t.wcet,
-        height=ts.processors - t.width + 1,
-    )
-
-
-def interference_no_carry_in(ts: TaskSystem, i: int, point: AnalysisPoint) -> int:
-    """Interference bound for task i assuming it has no carry-in job."""
-    t = ts.tasks[i]
-    clip = min(t.width, point.height)
-    if i == point.task_index:
-        base = min(hbf(t, point.delta) - t.wcet, point.arrival_offset)
-    else:
-        base = min(hbf(t, point.delta), point.width)
-    # base < 0 cannot happen for delta >= D_k, but clamping keeps the
-    # function total on all inputs.
-    return max(0, base * clip)
-
-
-def interference_with_carry_in(ts: TaskSystem, i: int, point: AnalysisPoint) -> int:
-    """Interference bound for task i when it may have a carry-in job."""
-    t = ts.tasks[i]
-    clip = min(t.width, point.height)
-    if i == point.task_index:
-        base = min(hbf_prime(t, point.delta) - t.wcet, point.arrival_offset)
-    else:
-        base = min(hbf_prime(t, point.delta), point.width)
-    return max(0, base * clip)
-
-
-def carry_in_extra(ts: TaskSystem, i: int, point: AnalysisPoint) -> int:
-    """Extra interference task i's carry-in job can add; always >= 0."""
-    return interference_with_carry_in(ts, i, point) - interference_no_carry_in(
-        ts, i, point
-    )
-
-
-def carry_in_bound(
-    ts: TaskSystem, point: AnalysisPoint, strategy: CarryInStrategy
-) -> int:
-    """Aggregate carry-in allowance at one analysis point."""
-    extras = [carry_in_extra(ts, i, point) for i in range(ts.n)]
-    return _aggregate_carry(extras, point.height, strategy)
-
-
 def check_condition(
     ts: TaskSystem, k: int, delta: int, config: AnalysisConfig
 ) -> tuple[bool, InterferenceSummary]:
-    """Evaluate the per-window condition for task k at one window length."""
-    point = interference_rectangle(ts, k, delta)
-    no_carry = tuple(interference_no_carry_in(ts, i, point) for i in range(ts.n))
-    with_carry = tuple(interference_with_carry_in(ts, i, point) for i in range(ts.n))
+    """Evaluate the per-window condition for task k at one window length.
+
+    Busy work must fill the rectangle of width delta - C_k and height
+    h_k = m - v_k + 1 for task k's job to miss.  Task i adds
+    max(0, min(demand, limit) * min(v_i, h_k)), with demand hbf_i, or
+    hbf'_i when it has a carry-in job, and limit delta - C_k; task k's
+    own term counts the demand before its job (less C_k), limited to
+    delta - D_k.  lhs is the no-carry-in sum plus the sum of the largest
+    h_k - 1 carry-in extras (every extra under ALL_TASKS); rhs is the
+    rectangle area.  This is the scalar form of what _evaluate computes
+    for many window lengths at once.
+    """
+    own = ts.tasks[k]
+    if delta < own.deadline:
+        raise ValueError(f"delta {delta} < deadline {own.deadline} of task {k}")
+    width, h = delta - own.wcet, ts.processors - own.width + 1
+
+    def term(i: int, demand: int) -> int:
+        t = ts.tasks[i]
+        base = min(demand - t.wcet, delta - t.deadline) if i == k else min(demand, width)
+        return max(0, base * min(t.width, h))
+
+    no_carry = tuple(term(i, hbf(t, delta)) for i, t in enumerate(ts.tasks))
+    with_carry = tuple(term(i, hbf_prime(t, delta)) for i, t in enumerate(ts.tasks))
     extras = tuple(w - n for w, n in zip(with_carry, no_carry))
-    carry = _aggregate_carry(list(extras), point.height, config.carry_in_strategy)
-    lhs = sum(no_carry) + carry
-    rhs = point.width * point.height
+    if config.carry_in_strategy is CarryInStrategy.ALL_TASKS:
+        carry = sum(extras)
+    else:
+        carry = sum(sorted(extras, reverse=True)[: max(h - 1, 0)])
+    lhs, rhs = sum(no_carry) + carry, width * h
     holds = lhs < rhs if config.variant is Variant.STRICT else lhs <= rhs
-    summary = InterferenceSummary(no_carry, with_carry, extras, carry, lhs, rhs)
-    return holds, summary
+    return holds, InterferenceSummary(no_carry, with_carry, extras, carry, lhs, rhs)
 
 
 def scan_upper_bound(
@@ -349,15 +306,6 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
         per_task=per_task,
         schedulable=all(isinstance(o, Certified) for o in per_task),
     )
-
-
-def _aggregate_carry(extras: list[int], height: int, strategy: CarryInStrategy) -> int:
-    if strategy is CarryInStrategy.ALL_TASKS:
-        return sum(extras)
-    keep = height - 1
-    if keep <= 0:
-        return 0
-    return sum(sorted(extras, reverse=True)[:keep])
 
 
 # Windows in the first scan block.  Each next block doubles, so a

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -34,7 +35,6 @@ from .analysis import (
     analyze,
     analyze_task,
     check_condition,
-    interference_rectangle,
     scan_upper_bound,
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
@@ -189,7 +189,8 @@ def _gen_params(args: argparse.Namespace, load: Fraction) -> GenParams:
 def cmd_counterexample(args: argparse.Namespace) -> int:
     ts = counterexample_system()
     trace = simulate_synchronous(ts, horizon=3, stop_on_miss=False)
-    point = interference_rectangle(ts, 1, 2)
+    # Task 1's interference rectangle at delta = 2.
+    width, height = 2 - ts.tasks[1].wcet, ts.processors - ts.tasks[1].width + 1
     original = AnalysisConfig(variant=Variant.ORIGINAL)
     strict = AnalysisConfig(variant=Variant.STRICT)
     holds_orig, summary = check_condition(ts, 1, 2, original)
@@ -208,8 +209,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     expect("slot 1 allocation", trace.slots[1], ((0, (0, 1)),))
     expect("late execution in slot 2", trace.slots[2], ((1, (0, 1)),))
     expect("first miss", trace.first_miss, (1, 2))
-    expect("rectangle width", point.width, 1)
-    expect("rectangle height", point.height, 2)
+    expect("rectangle width", width, 1)
+    expect("rectangle height", height, 2)
     expect("no-carry interference", summary.no_carry_in, (2, 0))
     expect("with-carry interference", summary.with_carry_in, (2, 0))
     expect("carry-in extras", summary.carry_in_extra, (0, 0))
@@ -232,8 +233,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "interference": {
                 "task": 1,
                 "delta": 2,
-                "width": point.width,
-                "height": point.height,
+                "width": width,
+                "height": height,
                 "no_carry_in": list(summary.no_carry_in),
                 "with_carry_in": list(summary.with_carry_in),
                 "carry_in_extra": list(summary.carry_in_extra),
@@ -277,7 +278,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     print(f"  first deadline miss: task {miss_task} at time {miss_deadline}")
     print()
     print("interference against task 1 at window length delta=2:")
-    print(f"  rectangle: width={point.width} height={point.height}")
+    print(f"  rectangle: width={width} height={height}")
     for i in range(ts.n):
         print(f"  task {i}: no-carry={summary.no_carry_in[i]} "
               f"with-carry={summary.with_carry_in[i]} extra={summary.carry_in_extra[i]}")
@@ -361,10 +362,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     load_max = Fraction(args.load_max)
     if not (0 < load_max <= 1):
         raise ValueError("load-max must be in (0, 1]")
+    # Checked once so that invalid flags fail even with no points or trials.
+    params = _gen_params(args, load_max)
+    horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
     lines = [EXPERIMENT_HEADER]
     for j in range(1, args.points + 1):
         load = load_max * Fraction(j, args.points)
-        params = _gen_params(args, load)
+        params = replace(params, target_load=load)
         certified = not_proven = inapplicable = sim_miss = gen_errors = 0
         for offset in range(args.trials):
             trial = (j - 1) * args.trials + offset
@@ -380,7 +384,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 not_proven += 1
             else:
                 certified += 1
-            if _experiment_miss(ts, args.horizon):
+            if _experiment_miss(ts, horizon):
                 sim_miss += 1
         analyzed = args.trials - gen_errors
         lines.append(
@@ -392,11 +396,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _experiment_miss(ts: TaskSystem, horizon_flag: str) -> bool:
-    if horizon_flag == "auto":
+def _experiment_miss(ts: TaskSystem, horizon: Optional[int]) -> bool:
+    if horizon is None:
         horizon = min(math.lcm(*(t.period for t in ts.tasks)), EXPERIMENT_SIM_CAP)
-    else:
-        horizon = _parse_horizon(horizon_flag)
     return simulate_synchronous(ts, horizon=horizon).first_miss is not None
 
 
@@ -411,6 +413,8 @@ def _format_load(load: Fraction) -> str:
 # --- gen ------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     params = _gen_params(args, Fraction(args.load))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,7 @@
 hbf bounds the time-length demand of jobs that both arrive and have their
 deadline inside a window of length L; hbf_prime additionally admits a
 carry-in job that arrives before the window and is unfinished at its start.
-dbf converts time-length demand to processor work by multiplying with the
-task width.  All values are exact integers.
+All values are exact integers.
 """
 
 from __future__ import annotations
@@ -25,8 +24,3 @@ def hbf_prime(task: GangTask, length: int) -> int:
     if length < 0:
         raise ValueError("window length must be >= 0")
     return (length // task.period) * task.wcet + min(task.wcet, length % task.period)
-
-
-def dbf(task: GangTask, length: int) -> int:
-    """Processor work demanded in a window of length L: hbf * width."""
-    return hbf(task, length) * task.width

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-# Exact rational arithmetic; strict-vs-non-strict comparisons must never be
-# blurred by rounding, so floats are banned from every verdict computation.
-Rational = Fraction
-
 
 class ValidationError(ValueError):
     """A task system violates a model constraint."""
@@ -96,14 +92,6 @@ def validate(ts: TaskSystem) -> None:
             raise ValidationError("D <= T violated", pos)
         if t.width > ts.processors:
             raise ValidationError("v <= m violated", pos)
-
-
-def is_valid(ts: TaskSystem) -> bool:
-    try:
-        validate(ts)
-    except ValidationError:
-        return False
-    return True
 
 
 def parse_task_system(text: str) -> TaskSystem:

@@ -5,6 +5,7 @@ lines inline.
 """
 
 import csv
+import json
 import math
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from gangsched.analysis import (
     analyze,
     analyze_task,
     check_condition,
-    interference_rectangle,
     scan_upper_bound,
 )
 from gangsched.cli import counterexample_system
@@ -64,7 +64,6 @@ def run_cli(*args):
 
 def test_criterion_1_counterexample_exactness():
     ts = counterexample_system()
-    point = interference_rectangle(ts, 1, 2)
     _, summary = check_condition(ts, 1, 2, ORIGINAL)
     bound = scan_upper_bound(ts, 1, CarryInStrategy.TOP_H_MINUS_ONE)
     verdict_orig = analyze_task(ts, 1, ORIGINAL)
@@ -73,15 +72,18 @@ def test_criterion_1_counterexample_exactness():
     start = time.perf_counter()
     proc = run_cli("counterexample")
     elapsed = time.perf_counter() - start
+    facts = json.loads(run_cli("counterexample", "--json").stdout)
+    rectangle = facts["interference"]["width"], facts["interference"]["height"]
 
     ok = (
-        (point.width, point.height) == (1, 2)
+        rectangle == (1, 2)
+        and facts["ok"] is True
         and summary.no_carry_in == (2, 0)
         and summary.with_carry_in == (2, 0)
         and summary.carry_in_extra == (0, 0)
         and summary.carry_in_bound == 0
         and summary.lhs == 2 == sum(summary.no_carry_in)
-        and summary.rhs == point.width * point.height == 2
+        and summary.rhs == rectangle[0] * rectangle[1] == 2
         and bound == NoDeltaBound(Fraction(-1))
         and verdict_orig
         == Inapplicable(task_index=1, denominator=Fraction(-1), scanned_up_to=None)
@@ -195,19 +197,15 @@ def test_criterion_5_width_one_reduction():
         for k in range(ts.n):
             first = ts.tasks[k].deadline
             for delta in range(first, first + 2 * max(t.period for t in ts.tasks) + 1):
-                point = interference_rectangle(ts, k, delta)
-                if point.height != m:
+                _, summary = check_condition(ts, k, delta, STRICT)
+                if summary.rhs != (delta - ts.tasks[k].wcet) * m:
                     mismatches += 1
-                from gangsched.analysis import (
-                    interference_no_carry_in,
-                    interference_with_carry_in,
-                )
                 for i in range(ts.n):
-                    if interference_no_carry_in(ts, i, point) != scalar_no_carry_bound(
+                    if summary.no_carry_in[i] != scalar_no_carry_bound(
                         ts.tasks, i, k, delta, m
                     ):
                         mismatches += 1
-                    if interference_with_carry_in(ts, i, point) != scalar_carry_bound(
+                    if summary.with_carry_in[i] != scalar_carry_bound(
                         ts.tasks, i, k, delta, m
                     ):
                         mismatches += 1

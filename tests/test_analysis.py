@@ -21,17 +21,11 @@ from gangsched.analysis import (
     Variant,
     _FIRST_BLOCK,
     _SCAN_CHUNK,
-    _aggregate_carry,
     _first_violation,
     _fits_int64,
     analyze,
     analyze_task,
-    carry_in_bound,
-    carry_in_extra,
     check_condition,
-    interference_no_carry_in,
-    interference_rectangle,
-    interference_with_carry_in,
     scan_upper_bound,
 )
 from gangsched.model import GangTask, TaskSystem
@@ -62,62 +56,59 @@ def random_system(rng: random.Random, n_max: int = 6, m_max: int = 5,
 
 # --- interference rectangle -------------------------------------------------
 
+def assert_rectangle(ts: TaskSystem, k: int, width: int, height: int) -> None:
+    """At delta = D_k the rectangle is width x height: rhs is its area
+    there and at D_k + 3, and below D_k the condition is undefined."""
+    first = ts.tasks[k].deadline
+    for config in ALL_CONFIGS:
+        assert check_condition(ts, k, first, config)[1].rhs == width * height
+        assert check_condition(ts, k, first + 3, config)[1].rhs == (width + 3) * height
+        with pytest.raises(ValueError):
+            check_condition(ts, k, first - 1, config)
+
+
 def test_rectangle_counterexample_point():
-    point = interference_rectangle(two_task_system(), 1, 2)
-    assert point.width == 1
-    assert point.height == 2
-    assert point.arrival_offset == 0
+    assert_rectangle(two_task_system(), 1, 1, 2)
 
 
 def test_rectangle_height_one_when_width_fills_platform():
-    ts = TaskSystem(4, (GangTask(0, 4, 1, 2, 3),))
-    assert interference_rectangle(ts, 0, 2).height == 1
+    assert_rectangle(TaskSystem(4, (GangTask(0, 4, 1, 2, 3),)), 0, 1, 1)
 
 
 def test_rectangle_height_is_m_for_width_one():
-    ts = TaskSystem(5, (GangTask(0, 1, 1, 2, 3),))
-    assert interference_rectangle(ts, 0, 2).height == 5
+    assert_rectangle(TaskSystem(5, (GangTask(0, 1, 1, 2, 3),)), 0, 1, 5)
 
 
 def test_rectangle_rejects_delta_below_deadline():
-    with pytest.raises(ValueError):
-        interference_rectangle(two_task_system(), 1, 1)
+    ts = two_task_system()
+    for delta in (0, 1):
+        with pytest.raises(ValueError, match="< deadline 2 of task 1"):
+            check_condition(ts, 1, delta, STRICT)
 
 
 # --- interference bounds ----------------------------------------------------
 
-def test_no_carry_bounds_at_counterexample_point():
+def test_counterexample_has_no_carry_in():
     ts = two_task_system()
-    point = interference_rectangle(ts, 1, 2)
-    assert interference_no_carry_in(ts, 0, point) == 2
-    assert interference_no_carry_in(ts, 1, point) == 0
-
-
-def test_with_carry_bounds_at_counterexample_point():
-    ts = two_task_system()
-    point = interference_rectangle(ts, 1, 2)
-    assert interference_with_carry_in(ts, 0, point) == 2
-    assert interference_with_carry_in(ts, 1, point) == 0
-
-
-def test_carry_extras_vanish_at_counterexample_point():
-    ts = two_task_system()
-    point = interference_rectangle(ts, 1, 2)
-    assert carry_in_extra(ts, 0, point) == 0
-    assert carry_in_extra(ts, 1, point) == 0
+    for config in ALL_CONFIGS:
+        _, summary = check_condition(ts, 1, 2, config)
+        assert summary.no_carry_in == (2, 0)
+        assert summary.with_carry_in == (2, 0)
+        assert summary.carry_in_extra == (0, 0)
+        assert summary.carry_in_bound == 0
 
 
 def test_no_carry_zero_below_other_deadline():
     ts = TaskSystem(3, (GangTask(0, 1, 1, 2, 9), GangTask(1, 1, 3, 9, 9)))
-    point = interference_rectangle(ts, 0, 2)  # delta < deadline of task 1
-    assert interference_no_carry_in(ts, 1, point) == 0
+    # delta = 2 < deadline of task 1
+    assert check_condition(ts, 0, 2, STRICT)[1].no_carry_in[1] == 0
 
 
 def test_with_carry_zero_when_rectangle_width_zero():
     ts = TaskSystem(3, (GangTask(0, 2, 2, 2, 2), GangTask(1, 2, 1, 2, 2)))
-    point = interference_rectangle(ts, 0, 2)  # width = 2 - 2 = 0
-    assert point.width == 0
-    assert interference_with_carry_in(ts, 1, point) == 0
+    _, summary = check_condition(ts, 0, 2, STRICT)  # width = 2 - 2 = 0
+    assert summary.rhs == 0
+    assert summary.with_carry_in[1] == 0
 
 
 def test_bounds_nonnegative_and_ordered_on_random_points():
@@ -126,43 +117,48 @@ def test_bounds_nonnegative_and_ordered_on_random_points():
         ts = random_system(rng)
         k = rng.randrange(ts.n)
         delta = ts.tasks[k].deadline + rng.randint(0, 40)
-        point = interference_rectangle(ts, k, delta)
+        width = delta - ts.tasks[k].wcet
+        height = ts.processors - ts.tasks[k].width + 1
+        _, summary = check_condition(ts, k, delta, STRICT)
         for i in range(ts.n):
-            lo = interference_no_carry_in(ts, i, point)
-            hi = interference_with_carry_in(ts, i, point)
-            clip = min(ts.tasks[i].width, point.height)
-            assert 0 <= lo <= point.width * clip
+            lo, hi = summary.no_carry_in[i], summary.with_carry_in[i]
+            clip = min(ts.tasks[i].width, height)
+            assert 0 <= lo <= width * clip
             assert lo <= hi
-            assert carry_in_extra(ts, i, point) == hi - lo >= 0
+            assert summary.carry_in_extra[i] == hi - lo >= 0
 
 
 # --- carry-in aggregation ---------------------------------------------------
 
 def test_aggregate_keeps_largest_height_minus_one():
-    assert _aggregate_carry([5, 3, 1], 3, CarryInStrategy.TOP_H_MINUS_ONE) == 8
-    assert _aggregate_carry([5, 3, 1], 3, CarryInStrategy.ALL_TASKS) == 9
-
-
-def test_aggregate_zero_when_height_one():
-    assert _aggregate_carry([5, 3, 1], 1, CarryInStrategy.TOP_H_MINUS_ONE) == 0
-
-
-def test_counterexample_has_no_carry_in():
-    ts = two_task_system()
-    point = interference_rectangle(ts, 1, 2)
-    for strategy in CarryInStrategy:
-        assert carry_in_bound(ts, point, strategy) == 0
-
-
-def test_all_tasks_strategy_dominates_top_strategy():
     rng = random.Random(8)
     for _ in range(200):
         ts = random_system(rng)
         k = rng.randrange(ts.n)
-        point = interference_rectangle(ts, k, ts.tasks[k].deadline + rng.randint(0, 30))
-        top = carry_in_bound(ts, point, CarryInStrategy.TOP_H_MINUS_ONE)
-        full = carry_in_bound(ts, point, CarryInStrategy.ALL_TASKS)
-        assert 0 <= top <= full
+        delta = ts.tasks[k].deadline + rng.randint(0, 30)
+        height = ts.processors - ts.tasks[k].width + 1
+        top = check_condition(ts, k, delta, STRICT)[1]
+        full = check_condition(
+            ts, k, delta, AnalysisConfig(carry_in_strategy=CarryInStrategy.ALL_TASKS))[1]
+        assert top.carry_in_extra == full.carry_in_extra
+        largest = sorted(top.carry_in_extra, reverse=True)[:height - 1]
+        assert top.carry_in_bound == sum(largest)
+        assert full.carry_in_bound == sum(full.carry_in_extra)
+        assert 0 <= top.carry_in_bound <= full.carry_in_bound
+        for summary in (top, full):
+            assert summary.lhs == sum(summary.no_carry_in) + summary.carry_in_bound
+
+
+def test_aggregate_zero_when_height_one():
+    # Task 0 fills the platform (h = 1): no carry-in counts under top,
+    # though task 1's carry-in job adds an extra.
+    ts = TaskSystem(2, (GangTask(0, 2, 1, 3, 3), GangTask(1, 1, 2, 2, 3)))
+    _, top = check_condition(ts, 0, 4, STRICT)
+    assert top.carry_in_extra[1] > 0
+    assert top.carry_in_bound == 0
+    all_tasks = AnalysisConfig(carry_in_strategy=CarryInStrategy.ALL_TASKS)
+    assert check_condition(ts, 0, 4, all_tasks)[1].carry_in_bound == sum(
+        top.carry_in_extra)
 
 
 # --- per-window condition ---------------------------------------------------
@@ -326,8 +322,6 @@ def test_counterexample_system_never_schedulable():
 
 def test_full_width_single_task_certified_under_strict():
     ts = TaskSystem(2, (GangTask(0, 2, 1, 2, 2),))
-    point = interference_rectangle(ts, 0, 2)
-    assert (point.width, point.height) == (1, 1)
     holds, summary = check_condition(ts, 0, 2, STRICT)
     assert holds and summary.lhs == 0 and summary.rhs == 1
     assert analyze(ts, STRICT).schedulable

@@ -1,0 +1,43 @@
+"""The public names of gangsched, and the ones the benchmark harness uses."""
+
+import gangsched
+from gangsched import analysis, cli, demand, model
+
+# Removed: the scalar helpers folded into check_condition, and three names
+# that only tests used.
+DELETED = (
+    "AnalysisPoint",
+    "interference_rectangle",
+    "interference_no_carry_in",
+    "interference_with_carry_in",
+    "carry_in_extra",
+    "carry_in_bound",
+    "_aggregate_carry",
+    "dbf",
+    "Rational",
+    "is_valid",
+)
+
+
+def test_every_exported_name_resolves_and_is_listed_once():
+    assert len(gangsched.__all__) == len(set(gangsched.__all__))
+    for name in gangsched.__all__:
+        assert hasattr(gangsched, name), name
+
+
+def test_deleted_names_are_gone():
+    for module in (gangsched, analysis, demand, model):
+        for name in DELETED:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_names_the_benchmark_harness_uses_resolve():
+    for name in ("AnalysisConfig", "CarryInStrategy", "DeltaBound", "Variant",
+                 "check_condition", "scan_upper_bound", "analyze_task",
+                 "Certified", "Inapplicable", "NoDeltaBound", "NotProven"):
+        assert callable(getattr(analysis, name)), name
+    for name in ("main", "analyze", "generate_task_system", "simulate_synchronous",
+                 "parse_task_system"):
+        assert callable(getattr(cli, name)), name
+    for name in ("GangTask", "TaskSystem", "parse_task_system"):
+        assert callable(getattr(model, name)), name

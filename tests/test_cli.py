@@ -187,6 +187,22 @@ def test_experiment_zero_trials_header_only(tmp_path):
     assert all(row.split(",")[1] == "0" for row in lines[1:])
 
 
+def test_experiment_rejects_invalid_flags_whatever_the_points(tmp_path):
+    out = tmp_path / "never.csv"
+    for bad in (("--n", "0", "--m", "0", "--t-min", "0"), ("--horizon", "-5"),
+                ("--trials", "0", "--horizon", "abc")):
+        for points in ("0", "2"):
+            result = run_cli("experiment", "--points", points, *bad, "--out", str(out))
+            assert result.returncode == 1
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
+    result = run_cli("experiment", "--points", "0")
+    assert result.returncode == 0
+    assert result.stdout == ("utilization,trials,certified,not_proven,inapplicable,"
+                             "sim_miss,gen_errors,variant,carry_in\n")
+
+
 def test_experiment_auto_horizon_caps_systems_over_the_horizon_guard(tmp_path):
     # --horizon auto simulates min(lcm, EXPERIMENT_SIM_CAP) slots; it must
     # not ask for the full hyperperiod, which the guard refuses here.
@@ -241,3 +257,13 @@ def test_gen_writes_parseable_reproducible_files(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         analyzed = run_cli("analyze", "--input", str(out1 / name))
         assert analyzed.returncode in (0, 2, 3)  # parsed and analyzed fine
+
+
+def test_gen_rejects_a_negative_count(tmp_path):
+    out = tmp_path / "never"
+    result = run_cli("gen", "--n", "3", "--m", "3", "--count", "-2", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: count must be >= 0"
+    assert not out.exists()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gangsched.demand import dbf, hbf, hbf_prime
+from gangsched.demand import hbf, hbf_prime
 from gangsched.model import GangTask
 
 from oracles import brute_hbf, brute_hbf_prime
@@ -50,19 +50,8 @@ def test_hbf_prime_derived_value():
     assert hbf_prime(task, 7) == 4
 
 
-def test_dbf_scales_hbf_by_width():
-    assert dbf(TAU1, 2) == 4
-    task = GangTask(0, 1, 1, 3, 5)
-    assert dbf(task, 13) == 3  # width 1: dbf == hbf
-    rng = random.Random(1)
-    for _ in range(200):
-        t = random_task(rng)
-        length = rng.randint(0, 4 * t.period)
-        assert dbf(t, length) == t.width * hbf(t, length)
-
-
 def test_dbf_zero_below_deadline():
-    assert dbf(GangTask(0, 3, 2, 4, 6), 3) == 0
+    assert hbf(GangTask(0, 3, 2, 4, 6), 3) == 0
 
 
 def test_nondecreasing_in_window_length():
@@ -119,4 +108,4 @@ def test_width_one_matches_classical_demand_bound():
         t = random_task(rng)
         one = GangTask(0, 1, t.wcet, t.deadline, t.period)
         length = rng.randint(0, 5 * t.period)
-        assert dbf(one, length) == classical(t.wcet, t.deadline, t.period, length)
+        assert hbf(one, length) == classical(t.wcet, t.deadline, t.period, length)

@@ -13,7 +13,7 @@ from gangsched.generator import (
     rand_fixed_sum,
     trial_rng,
 )
-from gangsched.model import is_valid
+from gangsched.model import validate
 
 
 def test_single_element_is_forced():
@@ -104,7 +104,7 @@ def test_generated_systems_are_valid():
     params = GenParams(n=6, m=4, target_load=Fraction(1, 2), t_min=5, t_max=50, seed=1)
     for trial in range(200):
         ts = generate_task_system(params, trial)
-        assert is_valid(ts)
+        validate(ts)
         assert ts.n == 6 and ts.processors == 4
         for t in ts.tasks:
             assert 5 <= t.period <= 50

@@ -9,7 +9,6 @@ from gangsched.model import (
     ParseError,
     TaskSystem,
     ValidationError,
-    is_valid,
     parse_task_system,
     print_task_system,
     validate,
@@ -68,13 +67,16 @@ def test_validate_rejects_each_violated_constraint():
         dict(deadline=5),  # D > T
         dict(width=3),  # v > m
     ]
-    for broken in breakers:
-        ts = TaskSystem(2, (GangTask(**{**good, **broken}),))
-        assert not is_valid(ts), broken
-    assert is_valid(TaskSystem(2, (GangTask(**good),)))
-    assert not is_valid(TaskSystem(0, (GangTask(**good),)))
-    assert not is_valid(TaskSystem(2, ()))
-    assert not is_valid(TaskSystem(2, (GangTask(**{**good, "index": 1}),)))
+    invalid = [TaskSystem(2, (GangTask(**{**good, **broken}),)) for broken in breakers]
+    invalid += [
+        TaskSystem(0, (GangTask(**good),)),
+        TaskSystem(2, ()),
+        TaskSystem(2, (GangTask(**{**good, "index": 1}),)),
+    ]
+    for ts in invalid:
+        with pytest.raises(ValidationError):
+            validate(ts)
+    validate(TaskSystem(2, (GangTask(**good),)))
 
 
 def test_parse_two_task_file():
