@@ -88,14 +88,26 @@ def test_rectangle_rejects_delta_below_deadline():
 
 # --- interference bounds ----------------------------------------------------
 
-def test_counterexample_has_no_carry_in():
+def counterexample_summaries() -> list[InterferenceSummary]:
+    """check_condition's summary at the counterexample point (k = 1,
+    delta = 2) under every configuration."""
     ts = two_task_system()
-    for config in ALL_CONFIGS:
-        _, summary = check_condition(ts, 1, 2, config)
+    return [check_condition(ts, 1, 2, config)[1] for config in ALL_CONFIGS]
+
+
+def test_no_carry_bounds_at_counterexample_point():
+    for summary in counterexample_summaries():
         assert summary.no_carry_in == (2, 0)
+
+
+def test_with_carry_bounds_at_counterexample_point():
+    for summary in counterexample_summaries():
         assert summary.with_carry_in == (2, 0)
+
+
+def test_carry_extras_vanish_at_counterexample_point():
+    for summary in counterexample_summaries():
         assert summary.carry_in_extra == (0, 0)
-        assert summary.carry_in_bound == 0
 
 
 def test_no_carry_zero_below_other_deadline():
@@ -130,23 +142,38 @@ def test_bounds_nonnegative_and_ordered_on_random_points():
 
 # --- carry-in aggregation ---------------------------------------------------
 
-def test_aggregate_keeps_largest_height_minus_one():
-    rng = random.Random(8)
-    for _ in range(200):
+def random_carry_points(seed: int, count: int = 200):
+    """Yield (height, top, full): check_condition's summaries under the
+    top-(h-1) and all-tasks strategies at random windows."""
+    rng = random.Random(seed)
+    all_tasks = AnalysisConfig(carry_in_strategy=CarryInStrategy.ALL_TASKS)
+    for _ in range(count):
         ts = random_system(rng)
         k = rng.randrange(ts.n)
         delta = ts.tasks[k].deadline + rng.randint(0, 30)
         height = ts.processors - ts.tasks[k].width + 1
-        top = check_condition(ts, k, delta, STRICT)[1]
-        full = check_condition(
-            ts, k, delta, AnalysisConfig(carry_in_strategy=CarryInStrategy.ALL_TASKS))[1]
+        yield (height, check_condition(ts, k, delta, STRICT)[1],
+               check_condition(ts, k, delta, all_tasks)[1])
+
+
+def test_aggregate_keeps_largest_height_minus_one():
+    for height, top, full in random_carry_points(8):
         assert top.carry_in_extra == full.carry_in_extra
         largest = sorted(top.carry_in_extra, reverse=True)[:height - 1]
         assert top.carry_in_bound == sum(largest)
         assert full.carry_in_bound == sum(full.carry_in_extra)
-        assert 0 <= top.carry_in_bound <= full.carry_in_bound
         for summary in (top, full):
             assert summary.lhs == sum(summary.no_carry_in) + summary.carry_in_bound
+
+
+def test_counterexample_has_no_carry_in():
+    for summary in counterexample_summaries():
+        assert summary.carry_in_bound == 0
+
+
+def test_all_tasks_strategy_dominates_top_strategy():
+    for _, top, full in random_carry_points(8):
+        assert 0 <= top.carry_in_bound <= full.carry_in_bound
 
 
 def test_aggregate_zero_when_height_one():
