@@ -278,21 +278,15 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
         certification no matter how the interval was obtained), and only
         a clean scan yields Inapplicable.
     """
-    first = ts.tasks[k].deadline
-    bound = scan_upper_bound(ts, k, config.carry_in_strategy)
-    if isinstance(bound, DeltaBound):
-        last = math.ceil(bound.value)
-        violation = _first_violation(ts, k, first, last, config)
-        if violation is not None:
-            return NotProven(k, *violation)
-        return Certified(k, scanned_up_to=last)
-    if config.variant is Variant.ORIGINAL:
+    bound, last = _scan_range(ts, k, config)
+    if last is None:
         return Inapplicable(k, bound.denominator, scanned_up_to=None)
-    cap = config.delta_cap if config.delta_cap is not None else default_delta_cap(ts)
-    violation = _first_violation(ts, k, first, cap, config)
+    violation = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
     if violation is not None:
         return NotProven(k, *violation)
-    return Inapplicable(k, bound.denominator, scanned_up_to=cap)
+    if isinstance(bound, DeltaBound):
+        return Certified(k, scanned_up_to=last)
+    return Inapplicable(k, bound.denominator, scanned_up_to=last)
 
 
 def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> AnalysisVerdict:
@@ -308,13 +302,35 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
     )
 
 
-# Windows in the first scan block.  Each next block doubles, so a
-# violation at the first window costs one small block.  A bisection round
-# probes at most this many windows too.
-_FIRST_BLOCK = 64
+def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
+    """analyze(ts, config).outcome_class, scanning only the tasks that
+    decide it; raises what analyze raises.
 
-# Most candidate points in one block; caps the (n, points) working arrays.
-_SCAN_CHUNK = 1 << 14
+    Relies on analyze's per-task outcomes being independent of order,
+    and on the dominance order Inapplicable > NotProven > Certified of
+    outcome_class.  Every task's scan range is taken first, in task
+    order, so that a range over SCAN_GUARD raises for the same task as
+    in analyze.  A task with an undefined scan interval then decides the
+    class: under original it is Inapplicable with no scan; under strict
+    a clean refutation scan makes the system inapplicable, and when all
+    such scans are refuted it is not proven.  With no such task, the
+    first violated scan makes the system not proven and clean scans of
+    every task make it schedulable.
+    """
+    ranges = [_scan_range(ts, k, config) for k in range(ts.n)]
+
+    def violated(k: int) -> bool:
+        return _first_violation(ts, k, ts.tasks[k].deadline, ranges[k][1], config) is not None
+
+    undefined = [k for k, (bound, _) in enumerate(ranges) if isinstance(bound, NoDeltaBound)]
+    if undefined:
+        if config.variant is Variant.ORIGINAL or not all(map(violated, undefined)):
+            return SYSTEM_INAPPLICABLE
+        return SYSTEM_NOT_PROVEN
+    if any(map(violated, range(ts.n))):
+        return SYSTEM_NOT_PROVEN
+    return SYSTEM_SCHEDULABLE
+
 
 # Refuse-to-run guard: a near-zero positive denominator can demand an
 # absurdly long exact scan; fail loudly instead of grinding.
@@ -325,11 +341,42 @@ class ScanGuardError(RuntimeError):
     """A scan interval holds more than SCAN_GUARD window lengths."""
 
 
+def _scan_range(
+    ts: TaskSystem, k: int, config: AnalysisConfig
+) -> tuple[Union[DeltaBound, NoDeltaBound], Optional[int]]:
+    """Task k's scan bound and the last window length to scan from D_k:
+    ceil(bound) when the bound is defined, else the refutation cap under
+    strict and None (no scan) under original.  Raises ScanGuardError
+    when the range holds more than SCAN_GUARD window lengths."""
+    bound = scan_upper_bound(ts, k, config.carry_in_strategy)
+    if isinstance(bound, DeltaBound):
+        last = math.ceil(bound.value)
+    elif config.variant is Variant.STRICT:
+        last = config.delta_cap if config.delta_cap is not None else default_delta_cap(ts)
+    else:
+        return bound, None
+    windows = last - ts.tasks[k].deadline + 1
+    if windows > SCAN_GUARD:
+        raise ScanGuardError(f"task {k}: scan over {windows} window lengths "
+                             f"exceeds guard {SCAN_GUARD}")
+    return bound, last
+
+
+# Windows in the first scan block.  Each next block doubles, so a
+# violation at the first window costs one small block.  A bisection round
+# probes at most this many windows too.
+_FIRST_BLOCK = 64
+
+# Most candidate points in one block; caps the (n, points) working arrays.
+_SCAN_CHUNK = 1 << 14
+
+
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
 ) -> Optional[tuple[int, InterferenceSummary]]:
     """Smallest integer delta in [lo, hi] (lo >= D_k) violating the
     condition, with the summary check_condition gives there, or None.
+    The caller bounds the range by SCAN_GUARD (see _scan_range).
 
     Each block evaluates its two ends and the breakpoints inside it (see
     the module docstring); its first violated point either is the answer
@@ -337,9 +384,6 @@ def _first_violation(
     """
     if hi < lo:
         return None
-    if hi - lo + 1 > SCAN_GUARD:
-        raise ScanGuardError(f"task {k}: scan over {hi - lo + 1} window lengths "
-                             f"exceeds guard {SCAN_GUARD}")
     dtype = np.int64 if _fits_int64(ts, hi) else object
     h = ts.processors - ts.tasks[k].width + 1
     rows = [(t.wcet, t.deadline, t.period, min(t.width, h)) for t in ts.tasks]

@@ -4,9 +4,11 @@ Subcommands: counterexample, analyze, simulate, experiment, gen.  Every
 command is deterministic given its flags and seed; reports that carry
 exact rationals print them as fractions, never as rounded decimals.
 
-Exit codes: 0 success / schedulable / no miss; 1 input or usage error,
-or a scan longer than SCAN_GUARD windows; 2 not proven / deadline miss;
-3 inapplicable verdict present.
+Exit codes: 0 success / schedulable / no miss; 1 input error (a file,
+a flag value or generation parameters), or a scan longer than SCAN_GUARD
+windows; 2 not proven / deadline miss, and argparse's own usage errors
+(an unknown command or flag, a value of the wrong type); 3 inapplicable
+verdict present.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .analysis import (
     analyze_task,
     check_condition,
     scan_upper_bound,
+    system_outcome,
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import (
@@ -359,7 +362,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.points < 0 or args.trials < 0:
         raise ValueError("points and trials must be >= 0")
     config = _config_from(args)
-    load_max = Fraction(args.load_max)
+    load_max = _parse_fraction(args.load_max)
     if not (0 < load_max <= 1):
         raise ValueError("load-max must be in (0, 1]")
     # Checked once so that invalid flags fail even with no points or trials.
@@ -377,7 +380,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             except GenerationError:
                 gen_errors += 1
                 continue
-            outcome = analyze(ts, config).outcome_class
+            outcome = system_outcome(ts, config)
             if outcome == SYSTEM_INAPPLICABLE:
                 inapplicable += 1
             elif outcome == SYSTEM_NOT_PROVEN:
@@ -415,7 +418,7 @@ def _format_load(load: Fraction) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    params = _gen_params(args, Fraction(args.load))
+    params = _gen_params(args, _parse_fraction(args.load))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -437,6 +440,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _load_system(path: str) -> TaskSystem:
     text = Path(path).read_text(encoding="utf-8")
     return parse_task_system(text)
+
+
+def _parse_fraction(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _parse_horizon(value: str) -> int:

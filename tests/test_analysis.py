@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from gangsched.analysis import (
     analyze_task,
     check_condition,
     scan_upper_bound,
+    system_outcome,
 )
 from gangsched.model import GangTask, TaskSystem
 
@@ -395,6 +397,108 @@ def test_strict_certification_implies_original_certification():
             seen += 1
             assert analyze(ts, ORIGINAL).schedulable
     assert seen >= 30  # the sweep must actually exercise certified systems
+
+
+# --- system outcome class ---------------------------------------------------
+
+def guard_system() -> TaskSystem:
+    """Task 0's scan runs to about 3.3e11 windows, over SCAN_GUARD; task
+    1's scan interval is undefined (denominator 0)."""
+    return TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6),
+                          GangTask(1, 4, 999999, 999999, 10**6)))
+
+
+# Strict: task 1's undefined interval is refuted and task 0 is certified.
+REFUTED_AND_CERTIFIED = TaskSystem(3, (GangTask(0, 1, 1, 4, 4), GangTask(1, 2, 2, 2, 2)))
+# Strict, delta_cap 4: both intervals are undefined; task 0's is refuted
+# and task 1's scan (D_1 = 6 > 4) is clean.
+REFUTED_THEN_CLEAN = TaskSystem(4, (GangTask(0, 3, 3, 4, 4), GangTask(1, 3, 5, 6, 7)))
+# Strict, delta_cap 2: task 0 is violated and task 1's undefined interval
+# has a clean (empty) scan.
+VIOLATED_THEN_CLEAN = TaskSystem(3, (GangTask(0, 1, 2, 2, 2), GangTask(1, 3, 2, 6, 8)))
+
+
+def outcome_class_of(ts: TaskSystem, config: AnalysisConfig, fast: bool) -> str:
+    """system_outcome, or analyze's outcome_class, or the ScanGuardError
+    either raises."""
+    try:
+        return system_outcome(ts, config) if fast else analyze(ts, config).outcome_class
+    except ScanGuardError as err:
+        return f"ScanGuardError: {err}"
+
+
+@st.composite
+def outcome_systems(draw):
+    """Small systems; overloaded ones have undefined scan intervals."""
+    m = draw(st.integers(1, 6))
+    t_max = draw(st.sampled_from([4, 12, 40]))
+    tasks = []
+    for i in range(draw(st.integers(1, 5))):
+        period = draw(st.integers(1, t_max))
+        wcet = draw(st.integers(1, period))
+        deadline = draw(st.integers(wcet, period))
+        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
+    return TaskSystem(m, tuple(tasks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcome_systems(), st.one_of(st.none(), st.integers(1, 30)))
+@example(two_task_system(), None)
+@example(two_task_system(), 2**33)  # strict refutation cap over the guard
+@example(guard_system(), None)
+@example(REFUTED_AND_CERTIFIED, None)
+@example(REFUTED_THEN_CLEAN, 4)
+@example(VIOLATED_THEN_CLEAN, 2)
+def test_system_outcome_is_the_outcome_class_of_analyze(ts, delta_cap):
+    for config in ALL_CONFIGS:
+        config = replace(config, delta_cap=delta_cap)
+        assert outcome_class_of(ts, config, True) == outcome_class_of(ts, config, False)
+
+
+def test_system_outcome_raises_the_scan_guard_error_of_analyze():
+    # Under original a naive "an undefined interval makes the system
+    # inapplicable" would answer before task 0's guard check.
+    ts = guard_system()
+    assert isinstance(scan_upper_bound(ts, 1, CarryInStrategy.TOP_H_MINUS_ONE), NoDeltaBound)
+    for config in ALL_CONFIGS:
+        got = outcome_class_of(ts, config, True)
+        assert got.startswith("ScanGuardError: task 0: scan over 333335000000 window")
+        assert got == outcome_class_of(ts, config, False)
+
+
+def record_scans(monkeypatch) -> list:
+    """The task of every window scan, in call order."""
+    scans = []
+    first_violation = analysis._first_violation
+
+    def recording(ts, k, lo, hi, config):
+        scans.append(k)
+        return first_violation(ts, k, lo, hi, config)
+
+    monkeypatch.setattr(analysis, "_first_violation", recording)
+    return scans
+
+
+@pytest.mark.parametrize("ts, config, want, scans", [
+    # Inapplicable under original from the bounds alone.
+    (REFUTED_AND_CERTIFIED, ORIGINAL, "inapplicable", []),
+    # Not proven: the scan stops at task 1, the first violated one.
+    (TaskSystem(2, (GangTask(0, 1, 1, 5, 5), GangTask(1, 1, 1, 2, 2),
+                    GangTask(2, 1, 1, 1, 1))), STRICT, "not_proven", [0, 1]),
+    # Schedulable: one scan per task.
+    (TaskSystem(2, (GangTask(0, 2, 3, 9, 10), GangTask(1, 2, 1, 4, 5),
+                    GangTask(2, 2, 2, 5, 5))), STRICT, "schedulable", [0, 1, 2]),
+    # Strict scans the undefined intervals first, and only them.
+    (REFUTED_AND_CERTIFIED, STRICT, "not_proven", [1]),
+    (REFUTED_THEN_CLEAN, replace(STRICT, delta_cap=4), "inapplicable", [0, 1]),
+    (VIOLATED_THEN_CLEAN, replace(STRICT, delta_cap=2), "inapplicable", [1]),
+])
+def test_system_outcome_scans_only_the_tasks_that_decide_it(monkeypatch, ts, config,
+                                                            want, scans):
+    recorded = record_scans(monkeypatch)
+    assert system_outcome(ts, config) == want
+    assert recorded == scans
+    assert analyze(ts, config).outcome_class == want
 
 
 # --- scan implementation details --------------------------------------------

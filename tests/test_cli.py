@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gangsched import cli
+from gangsched.analysis import analyze
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
@@ -226,6 +233,77 @@ def test_experiment_auto_horizon_caps_systems_over_the_horizon_guard(tmp_path):
     assert max(lcms) > HORIZON_GUARD
 
 
+# Flag sets that between them reach every outcome class and the strict
+# refutation scan with a small --delta-cap.
+EXPERIMENT_FLAG_SETS = (
+    ("--variant", "original", "--load-max", "0.4", "--points", "5", "--trials", "6",
+     "--horizon", "200"),
+    ("--n", "4", "--m", "3", "--points", "4", "--trials", "8", "--t-min", "4",
+     "--t-max", "12", "--horizon", "40"),
+    ("--n", "4", "--m", "3", "--points", "4", "--trials", "8", "--t-min", "4",
+     "--t-max", "12", "--carry-in", "all", "--delta-cap", "7", "--horizon", "40"),
+    ("--n", "3", "--m", "2", "--points", "4", "--trials", "8", "--t-min", "2",
+     "--t-max", "9", "--variant", "original", "--carry-in", "all",
+     "--deadline-mode", "implicit", "--horizon", "40"),
+)
+
+
+def main_in_process(*args: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_experiment_bytes_match_a_run_on_analyze(monkeypatch):
+    def runs():
+        return [main_in_process("experiment", "--seed", "5", *flags)
+                for flags in EXPERIMENT_FLAG_SETS]
+
+    fast = runs()
+    monkeypatch.setattr(cli, "system_outcome", lambda ts, c: analyze(ts, c).outcome_class)
+    assert fast == runs()
+    rows = [row.split(",") for _, out, _ in fast for row in out.splitlines()[1:]]
+    for column in (2, 3, 4):  # certified, not_proven, inapplicable
+        assert sum(int(row[column]) for row in rows) > 0
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.fixed_dictionaries({
+    "--n": st.integers(0, 6),
+    "--m": st.integers(0, 6),
+    "--points": st.integers(0, 3),
+    "--trials": st.integers(0, 3),
+    "--load-max": st.sampled_from(["1/0", "0", "-1/2", "2", "0.3", "3/5", "1/7", "1"]),
+    "--t-min": st.integers(0, 12),
+    "--t-max": st.integers(1, 40),
+    "--variant": st.sampled_from(["original", "strict"]),
+    "--carry-in": st.sampled_from(["top", "all"]),
+    "--delta-cap": st.one_of(st.none(), st.integers(-1, 40)),
+}))
+def test_experiment_fuzz_exits_0_or_1_with_at_most_one_error_line(flags):
+    # flag=value, so that argparse takes "-1/2" for a value, not a flag.
+    argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    code, out, err = main_in_process("experiment", *argv)
+    lines = err.splitlines()
+    assert code in (0, 1)
+    if code == 0:
+        assert not lines and out.startswith(cli.EXPERIMENT_HEADER + "\n")
+    else:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_experiment_rejects_a_zero_denominator_load_max(tmp_path):
+    out = tmp_path / "never.csv"
+    for points in ("0", "2"):
+        result = run_cli("experiment", "--load-max", "1/0", "--points", points,
+                         "--out", str(out))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
+        assert not out.exists()
+
+
 # --- gen --------------------------------------------------------------------
 
 def test_gen_pipeline_hundred_files_all_analyzable(tmp_path):
@@ -266,4 +344,13 @@ def test_gen_rejects_a_negative_count(tmp_path):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0] == "error: count must be >= 0"
+    assert not out.exists()
+
+
+def test_gen_rejects_a_zero_denominator_load(tmp_path):
+    out = tmp_path / "never"
+    result = run_cli("gen", "--n", "3", "--m", "3", "--load", "1/0", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
     assert not out.exists()
