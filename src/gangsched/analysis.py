@@ -18,26 +18,36 @@ is then the first-class verdict Inapplicable, never a schedulability
 claim in either direction.
 
 The scan evaluates only the window lengths where the condition can turn.
-For delta >= D_k every per-task term is min(demand, limit) * min(v_i, h_k):
-demand is hbf_i or hbf'_i (less C_k for task k itself) and limit is
-delta - C_k (delta - D_k for task k); the max(0, .) clamps are inactive.
-The terms change form only at these integer breakpoints, for each task i:
+It rests on one lemma: for C <= D <= T and delta >= D,
+
+  C <= hbf(delta) <= hbf'(delta)  and  hbf'(delta) - C <= delta - D.
+
+For delta >= D_k every per-task term is then min(demand, delta - C_k)
+* min(v_i, h_k), with demand hbf_i or hbf'_i (less C_k for task k itself),
+and the max(0, .) clamps are inactive.  Task k's own limit, delta - D_k
+in check_condition, changes nothing: by the lemma its demand stays at or
+below it, and so below delta - C_k.  The terms change form only at
+these integer breakpoints, for each task i:
 
   - D_i + j*T_i, where hbf_i steps up;
-  - j*T_i and j*T_i + C_i, where hbf'_i changes slope;
-  - j*C_i + C_k (i != k) and j*C_k + D_k (i == k), where the two sides of
-    a min term can cross (on a rising piece of hbf' both sides have slope
-    1 and never cross); j <= floor(hi/T_i) + 1 covers every demand value
-    reached up to the end hi of the scan.
+  - j*T_i + C_i, where a rising piece of hbf'_i turns flat;
+  - j*C_i + C_k, where a flat demand meets delta - C_k (on a rising piece
+    of hbf' both sides have slope 1 and never cross; for task k, by the
+    lemma, they never meet).
 
-Between consecutive breakpoints p < q every term is linear on [p, q), as
-hbf is right-continuous.  So are the no-carry-in sum, the rectangle area
-and each carry-in extra; the carry-in bound, the sum of the largest
-h_k - 1 extras, is a maximum of linear functions and so convex.  Hence
-lhs - rhs is convex on [p, q).  Its linear continuation to q lies at or
-below its value at q: hbf only steps up, and lhs never falls when a
-demand rises (the no-carry-in term gains what the extra loses, and the
-carry-in bound falls by at most that).  Two consequences:
+j <= floor(hi/T_i) + 1 covers every demand value reached up to the end hi
+of the scan.
+
+Between consecutive breakpoints p < q the sign of demand - (delta - C_k)
+is fixed, so each term is linear on [p, q) (hbf is right-continuous) or
+follows hbf'.  On [p, q) hbf' is flat, rising, or flat then rising: the
+kink j*T_i turns it up and keeps it convex.  So the no-carry-in sum is
+linear, each carry-in extra is convex and the carry-in bound, the sum of
+the largest h_k - 1 extras, is a maximum of convex functions.  Hence
+lhs - rhs is convex on [p, q).  Its limit at q lies at or below its value
+at q: hbf only steps up, and lhs never falls when a demand rises (the
+no-carry-in term gains what the extra loses, and the carry-in bound falls
+by at most that).  So lhs - rhs is convex on [p, q].  Two consequences:
 
   - a segment with no violation at either end has none inside it;
   - in a segment that holds at p and is violated at q, the violated
@@ -161,7 +171,11 @@ SYSTEM_INAPPLICABLE = "inapplicable"
 @dataclass(frozen=True)
 class AnalysisVerdict:
     per_task: tuple[TaskOutcome, ...]
-    schedulable: bool
+
+    @property
+    def schedulable(self) -> bool:
+        """True iff every task is certified."""
+        return self.outcome_class == SYSTEM_SCHEDULABLE
 
     @property
     def outcome_class(self) -> str:
@@ -281,9 +295,9 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
     bound, last = _scan_range(ts, k, config)
     if last is None:
         return Inapplicable(k, bound.denominator, scanned_up_to=None)
-    violation = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
-    if violation is not None:
-        return NotProven(k, *violation)
+    witness = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
+    if witness is not None:
+        return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
     if isinstance(bound, DeltaBound):
         return Certified(k, scanned_up_to=last)
     return Inapplicable(k, bound.denominator, scanned_up_to=last)
@@ -295,11 +309,7 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
     Pure function of its inputs: per-task outcomes are independent and
     identical regardless of evaluation order.
     """
-    per_task = tuple(analyze_task(ts, k, config) for k in range(ts.n))
-    return AnalysisVerdict(
-        per_task=per_task,
-        schedulable=all(isinstance(o, Certified) for o in per_task),
-    )
+    return AnalysisVerdict(tuple(analyze_task(ts, k, config) for k in range(ts.n)))
 
 
 def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
@@ -373,10 +383,10 @@ _SCAN_CHUNK = 1 << 14
 
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[tuple[int, InterferenceSummary]]:
+) -> Optional[int]:
     """Smallest integer delta in [lo, hi] (lo >= D_k) violating the
-    condition, with the summary check_condition gives there, or None.
-    The caller bounds the range by SCAN_GUARD (see _scan_range).
+    condition, or None.  The caller bounds the range by SCAN_GUARD (see
+    _scan_range).
 
     Each block evaluates its two ends and the breakpoints inside it (see
     the module docstring); its first violated point either is the answer
@@ -389,10 +399,9 @@ def _first_violation(
     rows = [(t.wcet, t.deadline, t.period, min(t.width, h)) for t in ts.tasks]
     tasks = np.array(rows, dtype).T[..., None]
     wcet, deadline, period, _ = tasks
-    # The four breakpoint families of each task: first + j * step, j <= last.
-    cross = np.where(np.arange(ts.n)[:, None] == k, deadline[k], wcet[k])
-    first = np.stack([deadline, 0 * period, wcet, cross])
-    step = np.stack([period, period, period, wcet])
+    # The three breakpoint families of each task: first + j * step, j <= last.
+    first = np.stack([deadline, wcet, np.broadcast_to(wcet[k], wcet.shape)])
+    step = np.stack([period, period, wcet])
     last = hi // period + 1
     start, size = lo, _FIRST_BLOCK
     while start <= hi:
@@ -408,53 +417,43 @@ def _first_violation(
         probes = np.unique(np.concatenate([inner, np.array([start, stop], dtype)]))
         held, found = start - 1, None
         while True:
-            violated, arrays = _evaluate(ts, k, tasks, probes, config)
-            hits = np.flatnonzero(violated)
+            hits = np.flatnonzero(_evaluate(ts, k, tasks, probes, config))
             if hits.size:
-                col = hits[0]
-                found = int(probes[col]), _summary(arrays, col)
-                held = int(probes[col - 1]) if col else held
+                found = int(probes[hits[0]])
+                held = int(probes[hits[0] - 1]) if hits[0] else held
             elif found is None:
                 break
             else:
                 held = int(probes[-1])
-            if found[0] - held == 1:
+            if found - held == 1:
                 return found
             # The violated windows in (held, found] run up to found.
-            gap = -(-(found[0] - held) // _FIRST_BLOCK)
-            probes = np.array(range(held + gap, found[0], gap), dtype)
+            gap = -(-(found - held) // _FIRST_BLOCK)
+            probes = np.array(range(held + gap, found, gap), dtype)
         start, size = stop + 1, 2 * (stop - start + 1)
     return None
 
 
 def _evaluate(ts: TaskSystem, k: int, tasks: np.ndarray, points: np.ndarray,
-              config: AnalysisConfig) -> tuple[np.ndarray, tuple]:
-    """The condition at each point for all tasks at once: whether it is
-    violated, and the arrays _summary reads.  tasks holds the (n, 1)
-    columns wcet, deadline, period and min(v_i, h_k)."""
+              config: AnalysisConfig) -> np.ndarray:
+    """Whether the condition is violated at each point, for all tasks at
+    once.  tasks holds the (n, 1) columns wcet, deadline, period and
+    min(v_i, h_k).  By the lemma of the module docstring every task is
+    clipped at delta - C_k and no clamp at 0 is needed."""
     wcet, deadline, period, clip = tasks
     tk = ts.tasks[k]
     h = ts.processors - tk.width + 1
-    own = np.arange(ts.n)[:, None] == k
+    own = (np.arange(ts.n)[:, None] == k) * wcet[k]
     width = points - tk.wcet
-    limit = np.where(own, points - tk.deadline, width)
-    demand = np.maximum(0, (points - deadline) // period + 1) * wcet - own * wcet[k]
-    demand_ci = points // period * wcet + np.minimum(wcet, points % period) - own * wcet[k]
-    base = np.maximum(0, np.minimum(demand, limit) * clip)
-    extra = np.maximum(0, np.minimum(demand_ci, limit) * clip) - base
+    demand = np.maximum(0, (points - deadline) // period + 1) * wcet - own
+    demand_ci = points // period * wcet + np.minimum(wcet, points % period) - own
+    base = np.minimum(demand, width) * clip
+    extra = np.minimum(demand_ci, width) * clip - base
     keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else h - 1
     carry = np.sort(extra, axis=0)[ts.n - min(max(keep, 0), ts.n):].sum(axis=0)
     lhs = base.sum(axis=0) + carry
     rhs = width * h
-    violated = lhs >= rhs if config.variant is Variant.STRICT else lhs > rhs
-    return violated, (base, extra, carry, lhs, rhs)
-
-
-def _summary(arrays: tuple, j: int) -> InterferenceSummary:
-    """check_condition's summary, read from column j of _evaluate's arrays."""
-    base, extra, carry, lhs, rhs = (a[..., j].tolist() for a in arrays)
-    with_carry = tuple(b + e for b, e in zip(base, extra))
-    return InterferenceSummary(tuple(base), with_carry, tuple(extra), carry, lhs, rhs)
+    return lhs >= rhs if config.variant is Variant.STRICT else lhs > rhs
 
 
 def _fits_int64(ts: TaskSystem, hi: int) -> bool:

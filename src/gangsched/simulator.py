@@ -84,11 +84,11 @@ class ScheduleTrace:
         return tuple(slots)
 
 
-def hyperperiod(ts: TaskSystem, limit: int = HORIZON_GUARD) -> int:
-    """lcm of all periods; raises HorizonOverflowError above `limit` slots."""
+def hyperperiod(ts: TaskSystem) -> int:
+    """lcm of all periods; raises HorizonOverflowError above HORIZON_GUARD slots."""
     h = math.lcm(*(t.period for t in ts.tasks))
-    if h > limit:
-        raise HorizonOverflowError(f"hyperperiod {h} exceeds guard {limit}")
+    if h > HORIZON_GUARD:
+        raise HorizonOverflowError(f"hyperperiod {h} exceeds guard {HORIZON_GUARD}")
     return h
 
 

@@ -19,7 +19,6 @@ from gangsched.analysis import (
     AnalysisConfig,
     CarryInStrategy,
     DeltaBound,
-    InterferenceSummary,
     NoDeltaBound,
     check_condition,
 )
@@ -113,13 +112,12 @@ def fraction_scan_upper_bound(
 
 def dense_first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[tuple[int, InterferenceSummary]]:
+) -> Optional[int]:
     """Smallest delta in [lo, hi] where check_condition fails, window by
-    window, with check_condition's summary there."""
+    window."""
     for delta in range(lo, hi + 1):
-        holds, summary = check_condition(ts, k, delta, config)
-        if not holds:
-            return delta, summary
+        if not check_condition(ts, k, delta, config)[0]:
+            return delta
     return None
 
 

@@ -455,6 +455,22 @@ def test_system_outcome_is_the_outcome_class_of_analyze(ts, delta_cap):
         assert outcome_class_of(ts, config, True) == outcome_class_of(ts, config, False)
 
 
+@settings(max_examples=200, deadline=None)
+@given(outcome_systems())
+def test_all_tasks_certification_implies_top_certification(ts):
+    # Per window the all-tasks carry-in bound is at least the top one, and
+    # so is its scan bound, so it certifies no task that top refuses.
+    for variant in Variant:
+        for k in range(ts.n):
+            try:
+                outcome = analyze_task(ts, k, AnalysisConfig(variant, CarryInStrategy.ALL_TASKS))
+            except ScanGuardError:
+                continue
+            if isinstance(outcome, Certified):
+                top = AnalysisConfig(variant, CarryInStrategy.TOP_H_MINUS_ONE)
+                assert isinstance(analyze_task(ts, k, top), Certified)
+
+
 def test_system_outcome_raises_the_scan_guard_error_of_analyze():
     # Under original a naive "an undefined interval makes the system
     # inapplicable" would answer before task 0's guard check.
@@ -590,9 +606,9 @@ def test_first_violation_chunking_consistent():
 
 @pytest.mark.parametrize("int64", [True, False], ids=["vector", "scalar"])
 def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, int64):
-    # The scan hands back the summary it computed at the witness; it must
-    # equal a fresh check_condition there, both from int64 arrays and from
-    # arrays of Python-int scalars.
+    # NotProven's witness is the dense scan's first violation, whether the
+    # scan ran on int64 arrays or on arrays of Python-int scalars, and its
+    # summary is check_condition's there.
     if not int64:
         monkeypatch.setattr(analysis, "_fits_int64", lambda ts, hi: False)
     rng = random.Random(16)
@@ -604,10 +620,11 @@ def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, int64
                 outcome = analyze_task(ts, k, config)
                 if isinstance(outcome, NotProven):
                     seen += 1
-                    expected = check_condition(ts, k, outcome.witness_delta, config)[1]
-                    assert outcome.summary == expected
-                    assert all(type(v) is int for v in outcome.summary.no_carry_in)
-                    assert type(outcome.summary.lhs) is int
+                    witness = outcome.witness_delta
+                    assert dense_first_violation(
+                        ts, k, ts.tasks[k].deadline, witness, config) == witness
+                    assert outcome.summary == check_condition(ts, k, witness, config)[1]
+                    assert_int_summary(outcome.summary)
     assert seen >= 100
 
 
@@ -625,10 +642,14 @@ def test_scan_past_int64_matches_dense_scan(period):
     lo, hi = 2 * period - 150, 2 * period + 20
     assert not _fits_int64(ts, hi)
     for config in ALL_CONFIGS:
-        got = _first_violation(ts, 0, lo, hi, config)
-        assert got == dense_first_violation(ts, 0, lo, hi, config)
-        assert_int_summary(got[1])
-    assert _first_violation(ts, 0, lo, hi, ORIGINAL)[0] == 2 * period
+        assert _first_violation(ts, 0, lo, hi, config) == dense_first_violation(
+            ts, 0, lo, hi, config
+        )
+    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
+    # The interval is undefined; strict refutes at the first window.
+    outcome = analyze_task(ts, 0, replace(STRICT, delta_cap=period + 100))
+    assert outcome.witness_delta == period
+    assert_int_summary(outcome.summary)
 
 
 def test_period_past_int64_in_a_short_scan_uses_object_arrays():
@@ -644,7 +665,7 @@ def test_period_past_int64_in_a_short_scan_uses_object_arrays():
 
 def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
     rng = random.Random(17)
-    seen = wide = 0
+    seen = wide = not_proven = 0
     for _ in range(40):
         m = rng.randint(1, 6)
         tasks = []
@@ -661,10 +682,17 @@ def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
         for config in ALL_CONFIGS:
             got = _first_violation(ts, k, lo, hi, config)
             assert got == dense_first_violation(ts, k, lo, hi, config)
-            if got is not None:
-                seen += 1
-                assert_int_summary(got[1])
-    assert wide >= 20 and seen >= 20
+            seen += got is not None
+            # Each task's own scan; refutation scans stop at D_j + 100.
+            for j, task in enumerate(ts.tasks):
+                try:
+                    outcome = analyze_task(ts, j, replace(config, delta_cap=task.deadline + 100))
+                except ScanGuardError:
+                    continue
+                if isinstance(outcome, NotProven):
+                    not_proven += 1
+                    assert_int_summary(outcome.summary)
+    assert wide >= 20 and seen >= 20 and not_proven >= 10
 
 
 @pytest.mark.parametrize("offset", [0, 63, 64, 65, 191])
@@ -673,7 +701,7 @@ def test_first_violation_at_block_edges_matches_dense_scan(offset):
     ts = late_violation_system(period)
     lo = 2 * period - offset
     hi = lo + 400
-    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL)[0] == lo + offset
+    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == lo + offset
     for config in (
         ORIGINAL,
         STRICT,
@@ -712,7 +740,7 @@ def test_first_violation_just_past_a_full_chunk_matches_dense_scan(monkeypatch):
     lo, hi = 2 * period - _SCAN_CHUNK, 2 * period + 10
     got = _first_violation(ts, 0, lo, hi, ORIGINAL)
     assert got == dense_first_violation(ts, 0, lo, hi, ORIGINAL)
-    assert got[0] == 2 * period
+    assert got == 2 * period
     windows = block_windows(calls)
     assert any(b < 2 * a for a, b in zip(windows, windows[1:-1]))
     assert all(len(points) <= _SCAN_CHUNK + 2 for points in calls)
@@ -723,7 +751,7 @@ def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
-    assert _first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
+    assert _first_violation(ts, 0, period, period + 10**5, STRICT) == period
     assert calls == [list(range(period, period + _FIRST_BLOCK))]
 
 

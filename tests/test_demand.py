@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gangsched.demand import hbf, hbf_prime
 from gangsched.model import GangTask
@@ -109,3 +111,20 @@ def test_width_one_matches_classical_demand_bound():
         one = GangTask(0, 1, t.wcet, t.deadline, t.period)
         length = rng.randint(0, 5 * t.period)
         assert hbf(one, length) == classical(t.wcet, t.deadline, t.period, length)
+
+
+@st.composite
+def constrained_task_and_window(draw):
+    """A task with C <= D <= T and a window length delta >= D."""
+    period = draw(st.integers(1, 10**6))
+    wcet = draw(st.integers(1, period))
+    deadline = draw(st.integers(wcet, period))
+    return GangTask(0, 1, wcet, deadline, period), deadline + draw(st.integers(0, 10**7))
+
+
+@given(constrained_task_and_window())
+def test_demand_lemma_for_constrained_deadlines(case):
+    # The breakpoint scan in gangsched.analysis rests on this lemma.
+    task, delta = case
+    assert task.wcet <= hbf(task, delta) <= hbf_prime(task, delta)
+    assert hbf_prime(task, delta) - task.wcet <= delta - task.deadline
