@@ -53,6 +53,10 @@ by at most that).  So lhs - rhs is convex on [p, q].  Two consequences:
   - in a segment that holds at p and is violated at q, the violated
     windows form one run ending at q, so bisection finds the first.
 
+The scan therefore walks its first window, the breakpoints inside its
+range in increasing order and its last window, one point at a time, and
+bisects back from the first violated point to the last one that held.
+
 All arithmetic is exact (integers and Fraction); there are no tolerances
 anywhere in this module.
 """
@@ -63,9 +67,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
-
-import numpy as np
+from heapq import merge
+from itertools import chain
+from typing import Callable, Optional, Union
 
 from .demand import hbf, hbf_prime
 from .model import TaskSystem
@@ -199,8 +203,9 @@ def check_condition(
     own term counts the demand before its job (less C_k), limited to
     delta - D_k.  lhs is the no-carry-in sum plus the sum of the largest
     h_k - 1 carry-in extras (every extra under ALL_TASKS); rhs is the
-    rectangle area.  This is the scalar form of what _evaluate computes
-    for many window lengths at once.
+    rectangle area.  This is the independent reference form of the
+    comparison; the window scan evaluates it in the lemma form of the
+    module docstring (see _violation_test).
     """
     own = ts.tasks[k]
     if delta < own.deadline:
@@ -279,9 +284,10 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
     its maximum sits on an integer endpoint, so any real violation
     implies an integer one no further than ceil(bound).  The same
     convexity holds on each segment between the demand breakpoints
-    listed in the module docstring, so the scan evaluates the segment
-    ends only and bisects the first segment whose right end is violated;
-    its cost follows the number of breakpoints, not of windows.
+    listed in the module docstring, so the scan walks the segment ends in
+    increasing order, in Python ints, and bisects the first segment whose
+    right end is violated; its cost follows the number of breakpoints,
+    not of windows.
 
     With an undefined scan interval (denominator <= 0):
       - original: verdict Inapplicable.  The published procedure defines
@@ -372,15 +378,6 @@ def _scan_range(
     return bound, last
 
 
-# Windows in the first scan block.  Each next block doubles, so a
-# violation at the first window costs one small block.  A bisection round
-# probes at most this many windows too.
-_FIRST_BLOCK = 64
-
-# Most candidate points in one block; caps the (n, points) working arrays.
-_SCAN_CHUNK = 1 << 14
-
-
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
 ) -> Optional[int]:
@@ -388,75 +385,67 @@ def _first_violation(
     condition, or None.  The caller bounds the range by SCAN_GUARD (see
     _scan_range).
 
-    Each block evaluates its two ends and the breakpoints inside it (see
-    the module docstring); its first violated point either is the answer
-    or ends the one segment that bisection narrows to its first violation.
+    Walks lo, the breakpoints inside (lo, hi) in increasing order (see the
+    module docstring) and hi.  The first violated point either is lo or
+    ends a segment whose start held; there the violated windows run up to
+    that point, and bisection finds the first of them.
     """
     if hi < lo:
         return None
-    dtype = np.int64 if _fits_int64(ts, hi) else object
-    h = ts.processors - ts.tasks[k].width + 1
-    rows = [(t.wcet, t.deadline, t.period, min(t.width, h)) for t in ts.tasks]
-    tasks = np.array(rows, dtype).T[..., None]
-    wcet, deadline, period, _ = tasks
-    # The three breakpoint families of each task: first + j * step, j <= last.
-    first = np.stack([deadline, wcet, np.broadcast_to(wcet[k], wcet.shape)])
-    step = np.stack([period, period, wcet])
-    last = hi // period + 1
-    start, size = lo, _FIRST_BLOCK
-    while start <= hi:
-        stop = min(start + size - 1, hi)
-        j0 = np.maximum(0, (start - first + step - 1) // step)
-        count = np.maximum(0, np.minimum(last, (stop - first) // step) - j0 + 1)
-        if stop > start and count.sum() > _SCAN_CHUNK:
-            size = (stop - start + 1) // 2
+    violated = _violation_test(ts, k, config)
+    if violated(lo):
+        return lo
+    c_k = ts.tasks[k].wcet
+    families = []
+    for t in ts.tasks:
+        last = hi // t.period + 1
+        for first, step in ((t.deadline, t.period), (t.wcet, t.period), (c_k, t.wcet)):
+            # first + j * step for j <= last, past lo and up to hi.
+            j0 = max(0, (lo - first) // step + 1)
+            families.append(range(first + j0 * step, min(first + last * step, hi) + 1, step))
+    held = lo
+    for point in chain(merge(*families), (hi,)):
+        if point <= held:
             continue
-        count = count.ravel().astype(np.int64)
-        j = np.repeat(j0.ravel() - np.cumsum(count) + count, count) + np.arange(count.sum())
-        inner = np.repeat(first.ravel(), count) + j * np.repeat(step.ravel(), count)
-        probes = np.unique(np.concatenate([inner, np.array([start, stop], dtype)]))
-        held, found = start - 1, None
-        while True:
-            hits = np.flatnonzero(_evaluate(ts, k, tasks, probes, config))
-            if hits.size:
-                found = int(probes[hits[0]])
-                held = int(probes[hits[0] - 1]) if hits[0] else held
-            elif found is None:
-                break
-            else:
-                held = int(probes[-1])
-            if found - held == 1:
-                return found
-            # The violated windows in (held, found] run up to found.
-            gap = -(-(found - held) // _FIRST_BLOCK)
-            probes = np.array(range(held + gap, found, gap), dtype)
-        start, size = stop + 1, 2 * (stop - start + 1)
+        if violated(point):
+            while point - held > 1:
+                mid = (held + point) // 2
+                if violated(mid):
+                    point = mid
+                else:
+                    held = mid
+            return point
+        held = point
     return None
 
 
-def _evaluate(ts: TaskSystem, k: int, tasks: np.ndarray, points: np.ndarray,
-              config: AnalysisConfig) -> np.ndarray:
-    """Whether the condition is violated at each point, for all tasks at
-    once.  tasks holds the (n, 1) columns wcet, deadline, period and
-    min(v_i, h_k).  By the lemma of the module docstring every task is
-    clipped at delta - C_k and no clamp at 0 is needed."""
-    wcet, deadline, period, clip = tasks
-    tk = ts.tasks[k]
-    h = ts.processors - tk.width + 1
-    own = (np.arange(ts.n)[:, None] == k) * wcet[k]
-    width = points - tk.wcet
-    demand = np.maximum(0, (points - deadline) // period + 1) * wcet - own
-    demand_ci = points // period * wcet + np.minimum(wcet, points % period) - own
-    base = np.minimum(demand, width) * clip
-    extra = np.minimum(demand_ci, width) * clip - base
-    keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else h - 1
-    carry = np.sort(extra, axis=0)[ts.n - min(max(keep, 0), ts.n):].sum(axis=0)
-    lhs = base.sum(axis=0) + carry
-    rhs = width * h
-    return lhs >= rhs if config.variant is Variant.STRICT else lhs > rhs
+def _violation_test(ts: TaskSystem, k: int, config: AnalysisConfig) -> Callable[[int], bool]:
+    """Task k's scan test, built once per scan: whether check_condition
+    fails at a window length delta >= D_k, in the lemma form of the module
+    docstring (every task clipped at delta - C_k, and no clamp at 0)."""
+    own = ts.tasks[k]
+    c_k, h = own.wcet, ts.processors - own.width + 1
+    keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else max(h - 1, 0)
+    strict = config.variant is Variant.STRICT
+    # wcet, deadline, period, min(v_i, h_k), and what the demand loses:
+    # C_k for task k itself, else 0.
+    rows = [(t.wcet, t.deadline, t.period, min(t.width, h), c_k if i == k else 0)
+            for i, t in enumerate(ts.tasks)]
 
+    def violated(delta: int) -> bool:
+        width = delta - c_k
+        lhs, extras = 0, []
+        for wcet, deadline, period, clip, less in rows:
+            # hbf_i and hbf'_i, clipped at width by conditionals: min()
+            # would double the cost of this loop, which is the scan's cost.
+            no_carry = ((delta - deadline) // period + 1) * wcet - less
+            jobs, offset = divmod(delta, period)
+            carry = jobs * wcet + (offset if offset < wcet else wcet) - less
+            no_carry = (no_carry if no_carry < width else width) * clip
+            lhs += no_carry
+            extras.append((carry if carry < width else width) * clip - no_carry)
+        extras.sort(reverse=True)
+        lhs += sum(extras[:keep])
+        return lhs >= width * h if strict else lhs > width * h
 
-def _fits_int64(ts: TaskSystem, hi: int) -> bool:
-    """Conservative overflow check: int64 arrays hold every scan value."""
-    worst = max(max(t.period, (hi // t.period + 2) * t.wcet) for t in ts.tasks)
-    return 2 * ts.n * max(worst, hi) * ts.processors < 2**62
+    return violated

@@ -20,10 +20,7 @@ from gangsched.analysis import (
     SCAN_GUARD,
     ScanGuardError,
     Variant,
-    _FIRST_BLOCK,
-    _SCAN_CHUNK,
     _first_violation,
-    _fits_int64,
     analyze,
     analyze_task,
     check_condition,
@@ -541,6 +538,12 @@ def late_violation_system(period: int) -> TaskSystem:
     return TaskSystem(1, (GangTask(0, 1, 1, period, period), GangTask(1, 1, 1, 1, 1)))
 
 
+def gap_system() -> TaskSystem:
+    """Under the original variant with the all-tasks carry-in, task 0 first
+    fails at delta = 11, inside the segment [7, 12] of a scan up to 15."""
+    return TaskSystem(4, (GangTask(0, 3, 2, 7, 10), GangTask(1, 2, 22, 25, 30)))
+
+
 @st.composite
 def scan_cases(draw):
     """A system, a task k and a scan range [lo, hi] with lo >= D_k.
@@ -570,6 +573,11 @@ def scan_cases(draw):
 @example((late_violation_system(1000), 0, 1935, 2335))
 @example((late_violation_system(1000), 0, 1809, 2209))
 @example((two_task_system(), 1, 2, 60))
+# Edges of the walk: lo == hi; a violation at hi, 4 past the breakpoint 7;
+# a lo that is no breakpoint, with the violation at 11 inside [9, 12].
+@example((gap_system(), 0, 11, 11))
+@example((gap_system(), 0, 7, 11))
+@example((gap_system(), 0, 9, 15))
 # Each fails when one breakpoint family is left out: the first two
 # without the crossings j*C_i + C_k, the third without the ends
 # j*T_i + C_i of the rising pieces of hbf', the fourth without the steps
@@ -604,13 +612,9 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
-@pytest.mark.parametrize("int64", [True, False], ids=["vector", "scalar"])
-def test_not_proven_summary_is_check_condition_at_the_witness(monkeypatch, int64):
-    # NotProven's witness is the dense scan's first violation, whether the
-    # scan ran on int64 arrays or on arrays of Python-int scalars, and its
+def test_not_proven_summary_is_check_condition_at_the_witness():
+    # NotProven's witness is the dense scan's first violation, and its
     # summary is check_condition's there.
-    if not int64:
-        monkeypatch.setattr(analysis, "_fits_int64", lambda ts, hi: False)
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
@@ -634,13 +638,21 @@ def assert_int_summary(summary: InterferenceSummary) -> None:
     assert all(type(v) is int for v in values)
 
 
+def past_int64(ts: TaskSystem, hi: int) -> bool:
+    """Whether a scan up to hi handles values past what int64 holds: some
+    period or demand, times the 4 * n * m that sums over n tasks of terms
+    clipped at m processors take, reaches 2^63."""
+    worst = max(max(t.period, (hi // t.period + 2) * t.wcet) for t in ts.tasks)
+    return 4 * ts.n * ts.processors * max(worst, hi) >= 2**63
+
+
 @pytest.mark.parametrize("period", [10**18, 10**19 + 7, 3 * 10**20])
 def test_scan_past_int64_matches_dense_scan(period):
-    # Values past int64 are evaluated in Python-int object arrays; the
-    # violation at 2 * period sits beyond the first block.
+    # Values past int64 stay exact; the violation at 2 * period sits 150
+    # windows past lo.
     ts = late_violation_system(period)
     lo, hi = 2 * period - 150, 2 * period + 20
-    assert not _fits_int64(ts, hi)
+    assert past_int64(ts, hi)
     for config in ALL_CONFIGS:
         assert _first_violation(ts, 0, lo, hi, config) == dense_first_violation(
             ts, 0, lo, hi, config
@@ -655,7 +667,7 @@ def test_scan_past_int64_matches_dense_scan(period):
 def test_period_past_int64_in_a_short_scan_uses_object_arrays():
     # Every demand value is small, but the period itself does not fit int64.
     ts = TaskSystem(1, (GangTask(0, 1, 5, 100, 10**19), GangTask(1, 1, 50, 60, 100)))
-    assert not _fits_int64(ts, 151)
+    assert past_int64(ts, 151)
     assert analyze_task(ts, 1, STRICT) == Certified(task_index=1, scanned_up_to=151)
     for config in ALL_CONFIGS:
         assert _first_violation(ts, 1, 60, 151, config) == dense_first_violation(
@@ -678,7 +690,7 @@ def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
         k = rng.randrange(ts.n)
         lo = ts.tasks[k].deadline + rng.choice([0, rng.randint(0, 10**6)])
         hi = lo + 100
-        wide += not _fits_int64(ts, hi)
+        wide += past_int64(ts, hi)
         for config in ALL_CONFIGS:
             got = _first_violation(ts, k, lo, hi, config)
             assert got == dense_first_violation(ts, k, lo, hi, config)
@@ -713,70 +725,53 @@ def test_first_violation_at_block_edges_matches_dense_scan(offset):
         )
 
 
-def record_blocks(monkeypatch) -> list:
-    """Every call of the point evaluator, as the list of its points."""
-    calls = []
-    evaluate = analysis._evaluate
+def record_points(monkeypatch) -> list:
+    """Every window length the scan evaluates, in order."""
+    points = []
+    violation_test = analysis._violation_test
 
-    def recording(ts, k, tasks, points, config):
-        calls.append(points.tolist())
-        return evaluate(ts, k, tasks, points, config)
+    def recording_test(ts, k, config):
+        violated = violation_test(ts, k, config)
 
-    monkeypatch.setattr(analysis, "_evaluate", recording)
-    return calls
+        def recording(delta):
+            points.append(delta)
+            return violated(delta)
+
+        return recording
+
+    monkeypatch.setattr(analysis, "_violation_test", recording_test)
+    return points
 
 
-def block_windows(calls: list) -> list:
-    return [points[-1] - points[0] + 1 for points in calls]
-
-
-def test_first_violation_just_past_a_full_chunk_matches_dense_scan(monkeypatch):
-    # Every window of this system is a breakpoint, so its blocks stop
-    # doubling once they hold a chunk of points; the violation lies past
-    # blocks that the chunk cut short.
-    calls = record_blocks(monkeypatch)
-    period = _SCAN_CHUNK
-    ts = late_violation_system(period)
-    lo, hi = 2 * period - _SCAN_CHUNK, 2 * period + 10
-    got = _first_violation(ts, 0, lo, hi, ORIGINAL)
-    assert got == dense_first_violation(ts, 0, lo, hi, ORIGINAL)
-    assert got == 2 * period
-    windows = block_windows(calls)
-    assert any(b < 2 * a for a, b in zip(windows, windows[1:-1]))
-    assert all(len(points) <= _SCAN_CHUNK + 2 for points in calls)
+def breakpoints(ts: TaskSystem, k: int, lo: int, hi: int) -> set:
+    """The breakpoints of task k's scan in [lo, hi]: D_i + j*T_i,
+    j*T_i + C_i and j*C_i + C_k for j <= floor(hi/T_i) + 1."""
+    found = set()
+    for t in ts.tasks:
+        for first, step in ((t.deadline, t.period), (t.wcet, t.period),
+                            (ts.tasks[k].wcet, t.wcet)):
+            j0 = max(0, -(-(lo - first) // step))
+            stop = min(first + (hi // t.period + 1) * step, hi)
+            found.update(range(first + j0 * step, stop + 1, step))
+    return found
 
 
 def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
-    calls = record_blocks(monkeypatch)
+    points = record_points(monkeypatch)
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
     assert _first_violation(ts, 0, period, period + 10**5, STRICT) == period
-    assert calls == [list(range(period, period + _FIRST_BLOCK))]
-
-
-def test_clean_scan_blocks_double_up_to_the_chunk_and_cover_the_range(monkeypatch):
-    calls = record_blocks(monkeypatch)
-    period = 3 * _SCAN_CHUNK
-    ts = late_violation_system(period)
-    lo, hi = period, 2 * period - 1
-    assert _first_violation(ts, 0, lo, hi, ORIGINAL) is None
-    windows = block_windows(calls)
-    assert windows[:5] == [_FIRST_BLOCK << j for j in range(5)]
-    assert all(b == 2 * a or b <= a for a, b in zip(windows, windows[1:-1]))
-    assert all(len(points) <= _SCAN_CHUNK + 2 for points in calls)
-    assert max(len(points) for points in calls) > _SCAN_CHUNK // 8
-    assert calls[0][0] == lo and calls[-1][-1] == hi
-    assert all(b[0] == a[-1] + 1 for a, b in zip(calls, calls[1:]))
+    assert points == [period]
 
 
 def test_certified_long_period_scan_evaluates_breakpoints_not_windows(monkeypatch):
     # The scan covers 25.7M windows; a dense scan evaluates every one.
-    calls = record_blocks(monkeypatch)
+    points = record_points(monkeypatch)
     ts = TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6),
                         GangTask(1, 4, 990000, 990000, 10**6)))
     assert analyze_task(ts, 0, STRICT) == Certified(task_index=0, scanned_up_to=25740769)
-    assert sum(len(points) for points in calls) <= 2000
+    assert len(points) <= len(breakpoints(ts, 0, 10**6, 25740769)) + 2
 
 
 def test_integer_scan_catches_rational_violations():

@@ -3,8 +3,8 @@
 import gangsched
 from gangsched import analysis, cli, demand, model
 
-# Removed: the scalar helpers folded into check_condition, and three names
-# that only tests used.
+# Removed: the scalar helpers folded into check_condition, three names
+# that only tests used, and the numpy block scan's evaluator and sizes.
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -16,6 +16,10 @@ DELETED = (
     "dbf",
     "Rational",
     "is_valid",
+    "_evaluate",
+    "_fits_int64",
+    "_FIRST_BLOCK",
+    "_SCAN_CHUNK",
 )
 
 
@@ -29,6 +33,7 @@ def test_deleted_names_are_gone():
     for module in (gangsched, analysis, demand, model):
         for name in DELETED:
             assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(analysis, "np")  # the window scan runs on Python ints
 
 
 def test_names_the_benchmark_harness_uses_resolve():
