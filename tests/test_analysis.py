@@ -612,16 +612,21 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
-def test_not_proven_summary_is_check_condition_at_the_witness():
-    # NotProven's witness is the dense scan's first violation, and its
-    # summary is check_condition's there.
+@pytest.mark.parametrize("whole_system", [True, False], ids=["vector", "scalar"])
+def test_not_proven_summary_is_check_condition_at_the_witness(whole_system):
+    # NotProven's witness is the dense scan's first violation, whether the
+    # outcome comes from analyze's per-task tuple or from analyze_task on
+    # one task, and its summary is check_condition's there.
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
         ts = random_system(rng)
         for config in ALL_CONFIGS:
-            for k in range(ts.n):
-                outcome = analyze_task(ts, k, config)
+            if whole_system:
+                outcomes = analyze(ts, config).per_task
+            else:
+                outcomes = tuple(analyze_task(ts, k, config) for k in range(ts.n))
+            for k, outcome in enumerate(outcomes):
                 if isinstance(outcome, NotProven):
                     seen += 1
                     witness = outcome.witness_delta
