@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -32,6 +32,7 @@ from .analysis import (
     NotProven,
     SYSTEM_INAPPLICABLE,
     SYSTEM_NOT_PROVEN,
+    SYSTEM_SCHEDULABLE,
     ScanGuardError,
     Variant,
     analyze,
@@ -41,13 +42,9 @@ from .analysis import (
     system_outcome,
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
-from .model import (
-    GangTask,
-    TaskSystem,
-    parse_task_system,
-    print_task_system,
-)
+from .model import TaskSystem, parse_task_system, print_task_system
 from .simulator import (
+    HORIZON_GUARD,
     HorizonOverflowError,
     ScheduleTrace,
     simulate_synchronous,
@@ -57,6 +54,14 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_PROVEN = 2
 EXIT_INAPPLICABLE = 3
+
+# Exit code of `analyze` per system outcome class; the key order is the
+# order of the class columns in the `experiment` CSV.
+_OUTCOME_EXIT = {
+    SYSTEM_SCHEDULABLE: EXIT_OK,
+    SYSTEM_NOT_PROVEN: EXIT_NOT_PROVEN,
+    SYSTEM_INAPPLICABLE: EXIT_INAPPLICABLE,
+}
 
 EXPERIMENT_HEADER = (
     "utilization,trials,certified,not_proven,inapplicable,"
@@ -68,6 +73,8 @@ EXPERIMENT_HEADER = (
 # column only counts misses actually observed.
 EXPERIMENT_SIM_CAP = 2000
 
+COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
+
 
 def counterexample_system() -> TaskSystem:
     """Two-task system that is infeasible on three processors.
@@ -76,13 +83,7 @@ def counterexample_system() -> TaskSystem:
     never run together; the second task misses at time 2 although the
     non-strict window condition holds there with lhs == rhs.
     """
-    return TaskSystem(
-        processors=3,
-        tasks=(
-            GangTask(index=0, width=2, wcet=2, deadline=2, period=2),
-            GangTask(index=1, width=2, wcet=1, deadline=2, period=2),
-        ),
-    )
+    return parse_task_system(COUNTEREXAMPLE_TEXT)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -234,16 +235,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "system": _system_json(ts),
             "simulation": _trace_json(trace),
             "interference": {
-                "task": 1,
-                "delta": 2,
-                "width": width,
-                "height": height,
-                "no_carry_in": list(summary.no_carry_in),
-                "with_carry_in": list(summary.with_carry_in),
-                "carry_in_extra": list(summary.carry_in_extra),
-                "carry_in_bound": summary.carry_in_bound,
-                "lhs": summary.lhs,
-                "rhs": summary.rhs,
+                "task": 1, "delta": 2, "width": width, "height": height, **asdict(summary),
             },
             "scan_bound": {
                 "task": 1,
@@ -325,11 +317,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for outcome in verdict.per_task:
             print(f"  task {outcome.task_index}: {_outcome_text(outcome)}")
         print(f"system: {verdict.outcome_class.upper()}")
-    if verdict.outcome_class == SYSTEM_INAPPLICABLE:
-        return EXIT_INAPPLICABLE
-    if verdict.outcome_class == SYSTEM_NOT_PROVEN:
-        return EXIT_NOT_PROVEN
-    return EXIT_OK
+    return _OUTCOME_EXIT[verdict.outcome_class]
 
 
 # --- simulate -------------------------------------------------------------
@@ -337,9 +325,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     ts = _load_system(args.input)
     horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
-    trace = simulate_synchronous(
-        ts, horizon=horizon, stop_on_miss=not args.continue_after_miss
-    )
+    stop_on_miss = not args.continue_after_miss
+    if args.no_trace and horizon is not None and horizon <= HORIZON_GUARD:
+        # Only the first miss is printed.  With D <= T a first hyperperiod
+        # without a miss repeats forever, so the miss, if any, lies in it.
+        horizon = min(horizon, math.lcm(*(t.period for t in ts.tasks)))
+        stop_on_miss = True
+    trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=stop_on_miss)
     parts = ["slot,task,processor\n"]
     if not args.no_trace:
         for start, end, allocation in trace.runs:
@@ -372,7 +364,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for j in range(1, args.points + 1):
         load = load_max * Fraction(j, args.points)
         params = replace(params, target_load=load)
-        certified = not_proven = inapplicable = sim_miss = gen_errors = 0
+        counts = dict.fromkeys(_OUTCOME_EXIT, 0)
+        sim_miss = gen_errors = 0
         for offset in range(args.trials):
             trial = (j - 1) * args.trials + offset
             try:
@@ -380,21 +373,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             except GenerationError:
                 gen_errors += 1
                 continue
-            outcome = system_outcome(ts, config)
-            if outcome == SYSTEM_INAPPLICABLE:
-                inapplicable += 1
-            elif outcome == SYSTEM_NOT_PROVEN:
-                not_proven += 1
-            else:
-                certified += 1
+            counts[system_outcome(ts, config)] += 1
             if _experiment_miss(ts, horizon):
                 sim_miss += 1
-        analyzed = args.trials - gen_errors
-        lines.append(
-            f"{_format_load(load)},{analyzed},{certified},{not_proven},"
-            f"{inapplicable},{sim_miss},{gen_errors},"
-            f"{config.variant.value},{config.carry_in_strategy.value}"
-        )
+        row = (_format_load(load), args.trials - gen_errors, *counts.values(), sim_miss,
+               gen_errors, config.variant.value, config.carry_in_strategy.value)
+        lines.append(",".join(map(str, row)))
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -505,19 +489,7 @@ def _outcome_json(outcome) -> dict:
 
 
 def _system_json(ts: TaskSystem) -> dict:
-    return {
-        "m": ts.processors,
-        "tasks": [
-            {
-                "index": t.index,
-                "width": t.width,
-                "wcet": t.wcet,
-                "deadline": t.deadline,
-                "period": t.period,
-            }
-            for t in ts.tasks
-        ],
-    }
+    return {"m": ts.processors, "tasks": [asdict(t) for t in ts.tasks]}
 
 
 def _trace_json(trace: ScheduleTrace) -> dict:

@@ -25,7 +25,7 @@ from .model import GangTask, TaskSystem, validate
 
 
 class GenerationError(RuntimeError):
-    """Parameter synthesis failed (infeasible target or exhausted retries)."""
+    """Parameter synthesis failed: the target utilization is infeasible."""
 
 
 class DeadlineMode(Enum):
@@ -141,9 +141,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-_MAX_REDRAWS = 1000
-
-
 def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     """Draw one valid task system; identical for identical (seed, trial)."""
     rng = trial_rng(params.seed, trial)
@@ -155,19 +152,15 @@ def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
 
     tasks: list[GangTask] = []
     for i in range(params.n):
+        # util <= 1 keeps wcet <= period, so every draw is valid.
         util = min(max(float(utils[i]), 0.0), 1.0)  # strip float dust
-        for _ in range(_MAX_REDRAWS):
-            width = int(rng.integers(1, params.m + 1))
-            period = _log_uniform_int(rng, params.t_min, params.t_max)
-            wcet = max(1, round(util * period))  # round half to even
-            if params.deadline_mode is DeadlineMode.IMPLICIT:
-                deadline = period
-            else:
-                deadline = int(rng.integers(wcet, period + 1))
-            if wcet <= deadline <= period and width <= params.m:
-                break
+        width = int(rng.integers(1, params.m + 1))
+        period = _log_uniform_int(rng, params.t_min, params.t_max)
+        wcet = max(1, round(util * period))  # round half to even
+        if params.deadline_mode is DeadlineMode.IMPLICIT:
+            deadline = period
         else:
-            raise GenerationError(f"task {i}: no valid parameters in {_MAX_REDRAWS} draws")
+            deadline = int(rng.integers(wcet, period + 1))
         tasks.append(
             GangTask(index=i, width=width, wcet=wcet, deadline=deadline, period=period)
         )

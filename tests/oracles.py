@@ -121,20 +121,23 @@ def dense_first_violation(
     return None
 
 
-def reference_trace(ts: TaskSystem, horizon: int):
-    """Slot-by-slot Gang EDF schedule of the synchronous scenario.
+def reference_trace(ts: TaskSystem, horizon: int, offsets=None):
+    """Slot-by-slot Gang EDF schedule of a periodic release pattern.
 
-    Steps one unit slot at a time and continues after a miss; returns the
-    per-slot allocations and the first miss as (task index, deadline).
-    Shares no code with the event-driven simulator.
+    Task i first releases at offsets[i] and then every period; the
+    default, all offsets 0, is the synchronous scenario.  Steps one unit
+    slot at a time and continues after a miss; returns the per-slot
+    allocations and the first miss as (task index, deadline).  Shares no
+    code with the event-driven simulator.
     """
+    offsets = offsets or (0,) * ts.n
     jobs = []  # [deadline, index, release, remaining, width]
     slots = []
     first_miss = None
     for now in range(horizon + 1):
         if now < horizon:
             for t in ts.tasks:
-                if now % t.period == 0:
+                if now >= offsets[t.index] and (now - offsets[t.index]) % t.period == 0:
                     jobs.append([now + t.deadline, t.index, now, t.wcet, t.width])
         jobs = [j for j in jobs if j[3] > 0]
         late = sorted((j for j in jobs if j[0] <= now), key=lambda j: (j[0], j[1]))

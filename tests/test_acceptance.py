@@ -57,8 +57,10 @@ def report(number: int, description: str, ok: bool) -> None:
 
 
 def run_cli(*args):
+    """Run the CLI in a subprocess; a hung command fails on the timeout."""
     return subprocess.run(
-        [sys.executable, "-m", "gangsched", *args], capture_output=True, text=True
+        [sys.executable, "-m", "gangsched", *args], capture_output=True, text=True,
+        timeout=120,
     )
 
 

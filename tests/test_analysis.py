@@ -29,7 +29,7 @@ from gangsched.analysis import (
 )
 from gangsched.model import GangTask, TaskSystem
 
-from oracles import dense_first_violation, fraction_scan_upper_bound
+from oracles import dense_first_violation, fraction_scan_upper_bound, reference_trace
 
 ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
 STRICT = AnalysisConfig(variant=Variant.STRICT)
@@ -344,6 +344,20 @@ def test_counterexample_system_never_schedulable():
         assert not verdict.schedulable
     assert analyze(ts, ORIGINAL).outcome_class == "inapplicable"
     assert analyze(ts, STRICT).outcome_class == "not_proven"
+
+
+def test_original_top_certifies_a_width_one_system_that_misses_sporadically():
+    # Global EDF on two processors: the published test certifies every
+    # task and the synchronous hyperperiod is clean, yet first releases
+    # at 3, 0 and 2 make task 2 miss at time 6.
+    ts = TaskSystem(2, (GangTask(0, 1, 1, 3, 4), GangTask(1, 1, 4, 6, 6),
+                        GangTask(2, 1, 4, 4, 6)))
+    assert all(isinstance(o, Certified) for o in analyze(ts, ORIGINAL).per_task)
+    assert reference_trace(ts, 12)[1] is None
+    assert reference_trace(ts, 12, offsets=(3, 0, 2))[1] == (2, 6)
+    for config in ALL_CONFIGS:
+        if config != ORIGINAL:
+            assert not any(isinstance(o, Certified) for o in analyze(ts, config).per_task)
 
 
 def test_full_width_single_task_certified_under_strict():

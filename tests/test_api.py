@@ -1,10 +1,11 @@
 """The public names of gangsched, and the ones the benchmark harness uses."""
 
 import gangsched
-from gangsched import analysis, cli, demand, model
+from gangsched import analysis, cli, demand, generator, model
 
 # Removed: the scalar helpers folded into check_condition, three names
-# that only tests used, and the numpy block scan's evaluator and sizes.
+# that only tests used, the numpy block scan's evaluator and sizes, and
+# the generator's redraw limit (every draw is valid).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -20,6 +21,7 @@ DELETED = (
     "_fits_int64",
     "_FIRST_BLOCK",
     "_SCAN_CHUNK",
+    "_MAX_REDRAWS",
 )
 
 
@@ -30,7 +32,7 @@ def test_every_exported_name_resolves_and_is_listed_once():
 
 
 def test_deleted_names_are_gone():
-    for module in (gangsched, analysis, demand, model):
+    for module in (gangsched, analysis, demand, generator, model):
         for name in DELETED:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(analysis, "np")  # the window scan runs on Python ints

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=120):
+    """Run the CLI in a subprocess; a hung command fails on the timeout."""
     return subprocess.run(
         [sys.executable, "-m", "gangsched", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -161,6 +165,29 @@ def test_simulate_continue_after_miss(cx_file):
     lines = result.stdout.splitlines()
     assert "2,1,0" in lines and "2,1,1" in lines  # late run of task 1
     assert lines[-1] == "MISS,1,2"
+
+
+@pytest.mark.parametrize("text, code, stdout", [
+    ("m 3\ntask 1 1 2 2\ntask 2 1 3 3\n", 0, "slot,task,processor\n"),
+    ("m 1\ntask 1 1 1 1\ntask 1 1 2 2\n", 2, "slot,task,processor\nMISS,1,2\n"),
+])
+def test_simulate_no_trace_costs_at_most_one_hyperperiod(tmp_path, text, code, stdout):
+    # A horizon of 10^11 slots over an lcm of 6 (or 2): only the first
+    # hyperperiod is simulated, also when asked to continue after a miss.
+    path = tmp_path / "ts.txt"
+    path.write_text(text)
+    result = run_cli("simulate", "--input", str(path), "--horizon", "100000000000",
+                     "--no-trace", "--continue-after-miss", timeout=30)
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
+
+
+def test_simulate_no_trace_over_the_horizon_guard_is_still_an_error(cx_file):
+    from gangsched.simulator import HORIZON_GUARD
+
+    horizon = str(HORIZON_GUARD + 1)
+    assert main_in_process("simulate", "--input", cx_file, "--horizon", horizon,
+                           "--no-trace") == (
+        1, "", f"error: horizon {horizon} exceeds guard {HORIZON_GUARD}\n")
 
 
 # --- experiment -------------------------------------------------------------
@@ -354,3 +381,125 @@ def test_gen_rejects_a_zero_denominator_load(tmp_path):
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
     assert not out.exists()
+
+
+# --- golden bytes -----------------------------------------------------------
+
+GOLDEN_FILES = {
+    "cx.txt": COUNTEREXAMPLE_TEXT,
+    "dense.txt": "m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n",
+    "guard.txt": "m 4\ntask 1 1 1000000 1000000\ntask 4 999999 999999 1000000\n",
+    "m5.txt": "m 5\ntask 4 1 1 3\ntask 2 1 1 2\n",
+    "clean.txt": "m 3\ntask 1 1 2 2\ntask 2 1 3 3\n",
+    "late.txt": "m 1\ntask 1 1 1 1\ntask 1 1 2 2\n",
+}
+
+
+def golden_commands():
+    yield ("counterexample",)
+    yield ("counterexample", "--json")
+    for name in ("cx.txt", "dense.txt", "guard.txt", "m5.txt"):
+        for variant in ("original", "strict"):
+            for carry_in in ("top", "all"):
+                for json_flag in ((), ("--json",)):
+                    yield ("analyze", "--input", name, "--variant", variant,
+                           "--carry-in", carry_in, *json_flag)
+    for name in ("cx.txt", "m5.txt", "clean.txt", "late.txt"):
+        yield ("simulate", "--input", name)
+        for flags in ((), ("--no-trace",), ("--continue-after-miss",),
+                      ("--no-trace", "--continue-after-miss")):
+            yield ("simulate", "--input", name, "--horizon", "50", *flags)
+    for flags in EXPERIMENT_FLAG_SETS[:3:2]:
+        yield ("experiment", "--seed", "5", *flags)
+    yield ("gen", "--n", "4", "--m", "3", "--load", "0.7", "--seed", "3", "--count", "4",
+           "--t-min", "4", "--t-max", "30", "--out", "gen")
+    yield ("analyze", "--input", "missing.txt")
+    yield ("simulate", "--input", "cx.txt", "--horizon", "-1")
+
+
+def golden_digests() -> dict[str, str]:
+    """sha256 prefix of (exit code, stdout, stderr) per command, plus the
+    bytes of the files `gen` writes; run in the current directory."""
+    for name, text in GOLDEN_FILES.items():
+        Path(name).write_text(text)
+    digests = {}
+    for argv in golden_commands():
+        code, out, err = main_in_process(*argv)
+        blob = json.dumps([code, out, err])
+        if argv[0] == "gen":
+            blob += "".join(Path(line).read_text() for line in out.splitlines())
+        digests[" ".join(argv)] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return digests
+
+
+GOLDEN = {
+    "counterexample": "7d642dcb4285c74d",
+    "counterexample --json": "b1089d76c38d68c3",
+    "analyze --input cx.txt --variant original --carry-in top": "d87165fc329c8b84",
+    "analyze --input cx.txt --variant original --carry-in top --json": "2fe21c4c0e7df241",
+    "analyze --input cx.txt --variant original --carry-in all": "bead45f3eaa9b936",
+    "analyze --input cx.txt --variant original --carry-in all --json": "5333f9f879602960",
+    "analyze --input cx.txt --variant strict --carry-in top": "cbf681246280ab12",
+    "analyze --input cx.txt --variant strict --carry-in top --json": "e109f74fc18d96ca",
+    "analyze --input cx.txt --variant strict --carry-in all": "4427575eee6e7e22",
+    "analyze --input cx.txt --variant strict --carry-in all --json": "7312254533b7faeb",
+    "analyze --input dense.txt --variant original --carry-in top": "aba852a7b72cef8c",
+    "analyze --input dense.txt --variant original --carry-in top --json": "bbbfb8eb5b2faa6a",
+    "analyze --input dense.txt --variant original --carry-in all": "aefa979527313f94",
+    "analyze --input dense.txt --variant original --carry-in all --json": "5280245a09d05d77",
+    "analyze --input dense.txt --variant strict --carry-in top": "b9016a7089542cba",
+    "analyze --input dense.txt --variant strict --carry-in top --json": "4a5e0b9690b3bac0",
+    "analyze --input dense.txt --variant strict --carry-in all": "ff62ddd3eb9e8b90",
+    "analyze --input dense.txt --variant strict --carry-in all --json": "01303987a980f60b",
+    "analyze --input guard.txt --variant original --carry-in top": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant original --carry-in top --json": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant original --carry-in all": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant original --carry-in all --json": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant strict --carry-in top": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant strict --carry-in top --json": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant strict --carry-in all": "825e7667c76d6c7f",
+    "analyze --input guard.txt --variant strict --carry-in all --json": "825e7667c76d6c7f",
+    "analyze --input m5.txt --variant original --carry-in top": "0b9c5146ca703424",
+    "analyze --input m5.txt --variant original --carry-in top --json": "d53c6517cb6a2bab",
+    "analyze --input m5.txt --variant original --carry-in all": "ea81b24a5b6e88fb",
+    "analyze --input m5.txt --variant original --carry-in all --json": "d06e7823777e9b71",
+    "analyze --input m5.txt --variant strict --carry-in top": "0eab992174a5bf71",
+    "analyze --input m5.txt --variant strict --carry-in top --json": "061680d5a3cf0f1b",
+    "analyze --input m5.txt --variant strict --carry-in all": "8f95f41ad4387efd",
+    "analyze --input m5.txt --variant strict --carry-in all --json": "f50afe7ee9da0d22",
+    "simulate --input cx.txt": "a842d8535828dbd7",
+    "simulate --input cx.txt --horizon 50": "a842d8535828dbd7",
+    "simulate --input cx.txt --horizon 50 --no-trace": "022a3a45d70d04bb",
+    "simulate --input cx.txt --horizon 50 --continue-after-miss": "71b7f668a11c40ed",
+    "simulate --input cx.txt --horizon 50 --no-trace --continue-after-miss": "022a3a45d70d04bb",
+    "simulate --input m5.txt": "5283ead103b47e32",
+    "simulate --input m5.txt --horizon 50": "5283ead103b47e32",
+    "simulate --input m5.txt --horizon 50 --no-trace": "4e09b59fe4b58bdb",
+    "simulate --input m5.txt --horizon 50 --continue-after-miss": "279d9ed95986c7c8",
+    "simulate --input m5.txt --horizon 50 --no-trace --continue-after-miss": "4e09b59fe4b58bdb",
+    "simulate --input clean.txt": "4fdc7c0c3df99261",
+    "simulate --input clean.txt --horizon 50": "aa3090039876c7b1",
+    "simulate --input clean.txt --horizon 50 --no-trace": "875e51db264ecb19",
+    "simulate --input clean.txt --horizon 50 --continue-after-miss": "aa3090039876c7b1",
+    ("simulate --input clean.txt --horizon 50 --no-trace "
+     "--continue-after-miss"): "875e51db264ecb19",
+    "simulate --input late.txt": "c5751763ffbca3e5",
+    "simulate --input late.txt --horizon 50": "c5751763ffbca3e5",
+    "simulate --input late.txt --horizon 50 --no-trace": "022a3a45d70d04bb",
+    "simulate --input late.txt --horizon 50 --continue-after-miss": "91adf7d866201c82",
+    ("simulate --input late.txt --horizon 50 --no-trace "
+     "--continue-after-miss"): "022a3a45d70d04bb",
+    ("experiment --seed 5 --variant original --load-max 0.4 --points 5 "
+     "--trials 6 --horizon 200"): "cd9606d1130a8a28",
+    ("experiment --seed 5 --n 4 --m 3 --points 4 --trials 8 --t-min 4 --t-max "
+     "12 --carry-in all --delta-cap 7 --horizon 40"): "8871d402ef13526a",
+    ("gen --n 4 --m 3 --load 0.7 --seed 3 --count 4 --t-min 4 --t-max 30 "
+     "--out gen"): "8325983524d5b87d",
+    "analyze --input missing.txt": "9ccb554ffa08fed5",
+    "simulate --input cx.txt --horizon -1": "ef16d9c54082461f",
+}
+
+
+def test_cli_bytes_match_the_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert golden_digests() == GOLDEN
