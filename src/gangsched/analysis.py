@@ -64,12 +64,13 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import merge
-from itertools import chain
-from typing import Callable, Optional, Union
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Optional, Union
 
 from .demand import hbf, hbf_prime
 from .model import TaskSystem
@@ -239,32 +240,56 @@ def scan_upper_bound(
 
     A denominator <= 0 reverses the inequality the bound is derived from,
     so no finite scan interval exists and the result is NoDeltaBound.
+    The arithmetic is _bound_table's, in integers; one Fraction is built
+    at the end, equal to what Fraction arithmetic on U_i would give.
+    """
+    common, numerator, denominator = _bound_table(ts, strategy)[k]
+    if denominator > 0:
+        return DeltaBound(Fraction(numerator, denominator))
+    return NoDeltaBound(Fraction(denominator, common))
+
+
+# (L, L*numerator, L*denominator) of one task's scan bound.
+_BoundRow = tuple[int, int, int]
+
+
+def _bound_table(ts: TaskSystem, strategy: CarryInStrategy) -> list[_BoundRow]:
+    """(L, L*numerator, L*denominator) of every task's scan bound.
 
     Both sums are taken in integers over the common denominator
     L = lcm(T_i) of the utilizations: L*U_i = C_i*(L/T_i) is an integer,
     so L*numerator and L*denominator are integers with the same ratio and
-    the same sign of the denominator.  One Fraction is built at the end,
-    equal to what Fraction arithmetic on U_i would give.
+    the same sign of the denominator.  The sums depend on k only through
+    h = m - v_k + 1, and sum_i a_i*min(v_i, h) is the sum of a_i*v_i over
+    the tasks with v_i <= h plus h times the sum of a_i over the rest, so
+    prefix sums in width order give each distinct h in O(log n).  The
+    carry wcets are a prefix sum of the wcets in descending order.
     """
-    t = ts.tasks[k]
-    h = ts.processors - t.width + 1
-    common = math.lcm(*(other.period for other in ts.tasks))
-    numerator = 0
-    denominator = h * common
-    for other in ts.tasks:
-        # L * U_i * min(v_i, h_k), exact.
-        weight = other.wcet * (common // other.period) * min(other.width, h)
-        numerator -= (other.deadline - other.period) * weight
-        denominator -= weight
-    wcets = sorted((other.wcet for other in ts.tasks), reverse=True)
-    if strategy is CarryInStrategy.ALL_TASKS:
-        carry = sum(wcets)
-    else:
-        carry = sum(wcets[: h - 1])
-    numerator += (h * t.wcet + carry) * common
-    if denominator > 0:
-        return DeltaBound(Fraction(numerator, denominator))
-    return NoDeltaBound(Fraction(denominator, common))
+    common = math.lcm(*(t.period for t in ts.tasks))
+    by_width = sorted(ts.tasks, key=lambda t: t.width)
+    widths = [t.width for t in by_width]
+
+    def clipped(values: list[int]) -> Callable[[int, int], int]:
+        # sum_i values_i * min(v_i, h), where tasks j.. are wider than h.
+        narrow = list(accumulate((a * v for a, v in zip(values, widths)), initial=0))
+        wide = list(accumulate(reversed(values), initial=0))[::-1]
+        return lambda j, h: narrow[j] + h * wide[j]
+
+    util = [t.wcet * (common // t.period) for t in by_width]  # L*U_i
+    weight = clipped(util)
+    slack = clipped([(t.deadline - t.period) * u for t, u in zip(by_width, util)])
+    top = list(accumulate(sorted((t.wcet for t in ts.tasks), reverse=True), initial=0))
+    sums: dict[int, tuple[int, int]] = {}
+    table = []
+    for t in ts.tasks:
+        h = ts.processors - t.width + 1
+        if h not in sums:
+            j = bisect_right(widths, h)
+            carry = top[-1] if strategy is CarryInStrategy.ALL_TASKS else top[min(h - 1, ts.n)]
+            sums[h] = (carry * common - slack(j, h), h * common - weight(j, h))
+        numerator, denominator = sums[h]
+        table.append((common, numerator + h * t.wcet * common, denominator))
+    return table
 
 
 def default_delta_cap(ts: TaskSystem) -> int:
@@ -298,24 +323,19 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
         certification no matter how the interval was obtained), and only
         a clean scan yields Inapplicable.
     """
-    bound, last = _scan_range(ts, k, config)
-    if last is None:
-        return Inapplicable(k, bound.denominator, scanned_up_to=None)
-    witness = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
-    if witness is not None:
-        return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
-    if isinstance(bound, DeltaBound):
-        return Certified(k, scanned_up_to=last)
-    return Inapplicable(k, bound.denominator, scanned_up_to=last)
+    return _task_outcome(ts, k, *_scan_ranges(ts, config, [k])[0], config)
 
 
 def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> AnalysisVerdict:
     """Run the test for every task; schedulable iff all are certified.
 
     Pure function of its inputs: per-task outcomes are independent and
-    identical regardless of evaluation order.
+    identical regardless of evaluation order.  Every task's scan range is
+    taken first, in task order, from one bound table.
     """
-    return AnalysisVerdict(tuple(analyze_task(ts, k, config) for k in range(ts.n)))
+    ranges = _scan_ranges(ts, config, range(ts.n))
+    return AnalysisVerdict(tuple(_task_outcome(ts, k, row, last, config)
+                                 for k, (row, last) in enumerate(ranges)))
 
 
 def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
@@ -333,12 +353,12 @@ def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) ->
     first violated scan makes the system not proven and clean scans of
     every task make it schedulable.
     """
-    ranges = [_scan_range(ts, k, config) for k in range(ts.n)]
+    ranges = _scan_ranges(ts, config, range(ts.n))
 
     def violated(k: int) -> bool:
         return _first_violation(ts, k, ts.tasks[k].deadline, ranges[k][1], config) is not None
 
-    undefined = [k for k, (bound, _) in enumerate(ranges) if isinstance(bound, NoDeltaBound)]
+    undefined = [k for k, ((_, _, denominator), _) in enumerate(ranges) if denominator <= 0]
     if undefined:
         if config.variant is Variant.ORIGINAL or not all(map(violated, undefined)):
             return SYSTEM_INAPPLICABLE
@@ -357,25 +377,49 @@ class ScanGuardError(RuntimeError):
     """A scan interval holds more than SCAN_GUARD window lengths."""
 
 
-def _scan_range(
-    ts: TaskSystem, k: int, config: AnalysisConfig
-) -> tuple[Union[DeltaBound, NoDeltaBound], Optional[int]]:
-    """Task k's scan bound and the last window length to scan from D_k:
-    ceil(bound) when the bound is defined, else the refutation cap under
-    strict and None (no scan) under original.  Raises ScanGuardError
-    when the range holds more than SCAN_GUARD window lengths."""
-    bound = scan_upper_bound(ts, k, config.carry_in_strategy)
-    if isinstance(bound, DeltaBound):
-        last = math.ceil(bound.value)
-    elif config.variant is Variant.STRICT:
-        last = config.delta_cap if config.delta_cap is not None else default_delta_cap(ts)
-    else:
-        return bound, None
-    windows = last - ts.tasks[k].deadline + 1
-    if windows > SCAN_GUARD:
-        raise ScanGuardError(f"task {k}: scan over {windows} window lengths "
-                             f"exceeds guard {SCAN_GUARD}")
-    return bound, last
+def _scan_ranges(
+    ts: TaskSystem, config: AnalysisConfig, tasks: Iterable[int]
+) -> list[tuple[_BoundRow, Optional[int]]]:
+    """Each listed task's bound row and the last window length to scan
+    from D_k: ceil(bound) when the bound is defined, else the refutation
+    cap under strict and None (no scan) under original.  Raises
+    ScanGuardError for the first listed task whose range holds more than
+    SCAN_GUARD window lengths."""
+    table = _bound_table(ts, config.carry_in_strategy)
+    cap = config.delta_cap
+    ranges = []
+    for k in tasks:
+        _, numerator, denominator = table[k]
+        if denominator > 0:
+            last = -(-numerator // denominator)
+        elif config.variant is Variant.STRICT:
+            if cap is None:
+                cap = default_delta_cap(ts)
+            last = cap
+        else:
+            ranges.append((table[k], None))
+            continue
+        windows = last - ts.tasks[k].deadline + 1
+        if windows > SCAN_GUARD:
+            raise ScanGuardError(f"task {k}: scan over {windows} window lengths "
+                                 f"exceeds guard {SCAN_GUARD}")
+        ranges.append((table[k], last))
+    return ranges
+
+
+def _task_outcome(
+    ts: TaskSystem, k: int, row: _BoundRow, last: Optional[int], config: AnalysisConfig
+) -> TaskOutcome:
+    """analyze_task's outcome for task k from its precomputed range."""
+    common, _, denominator = row
+    if last is None:
+        return Inapplicable(k, Fraction(denominator, common), scanned_up_to=None)
+    witness = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
+    if witness is not None:
+        return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
+    if denominator > 0:
+        return Certified(k, scanned_up_to=last)
+    return Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
 
 
 def _first_violation(
@@ -383,7 +427,7 @@ def _first_violation(
 ) -> Optional[int]:
     """Smallest integer delta in [lo, hi] (lo >= D_k) violating the
     condition, or None.  The caller bounds the range by SCAN_GUARD (see
-    _scan_range).
+    _scan_ranges).
 
     Walks lo, the breakpoints inside (lo, hi) in increasing order (see the
     module docstring) and hi.  The first violated point either is lo or

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -44,9 +43,9 @@ from .analysis import (
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import TaskSystem, parse_task_system, print_task_system
 from .simulator import (
-    HORIZON_GUARD,
     HorizonOverflowError,
     ScheduleTrace,
+    miss_horizon,
     simulate_synchronous,
 )
 
@@ -326,11 +325,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ts = _load_system(args.input)
     horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
     stop_on_miss = not args.continue_after_miss
-    if args.no_trace and horizon is not None and horizon <= HORIZON_GUARD:
-        # Only the first miss is printed.  With D <= T a first hyperperiod
-        # without a miss repeats forever, so the miss, if any, lies in it.
-        horizon = min(horizon, math.lcm(*(t.period for t in ts.tasks)))
-        stop_on_miss = True
+    if args.no_trace:
+        # Only the first miss is printed.
+        horizon, stop_on_miss = miss_horizon(ts, horizon), True
     trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=stop_on_miss)
     parts = ["slot,task,processor\n"]
     if not args.no_trace:
@@ -384,8 +381,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _experiment_miss(ts: TaskSystem, horizon: Optional[int]) -> bool:
-    if horizon is None:
-        horizon = min(math.lcm(*(t.period for t in ts.tasks)), EXPERIMENT_SIM_CAP)
+    horizon = miss_horizon(ts, EXPERIMENT_SIM_CAP if horizon is None else horizon)
     return simulate_synchronous(ts, horizon=horizon).first_miss is not None
 
 

@@ -13,6 +13,7 @@ independently derived streams, so trial generation order never matters.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -85,6 +86,34 @@ def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
     if n == 1:
         return np.full(1, s)
 
+    k, s, t = _stafford_table(n, s)
+
+    x = [0.0] * n
+    rt = rng.uniform(size=n - 1).tolist()  # simplex-type decisions
+    rs = rng.uniform(size=n - 1)  # position inside the simplex
+    total = s
+    j = k + 1
+    accum = 0.0
+    scale = 1.0
+    for i in range(n - 1, 0, -1):
+        e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
+        # numpy power on one element: Python's ** differs in the last bit in ~1/4 of draws
+        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
+        accum = accum + (1.0 - sx) * scale * total / (i + 1)
+        scale = sx * scale
+        x[n - i - 1] = accum + scale * e
+        total = total - e
+        j = j - int(e)
+    x[n - 1] = accum + scale * total
+    return np.array(x)[rng.permutation(n)]
+
+
+# Every trial of a sweep point shares (n, s); a sweep walks its points in
+# order, and one table holds O(n^2) floats.
+@functools.lru_cache(maxsize=2)
+def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ...], ...]]:
+    """The simplex-walk inputs of _unit_fixed_sum for n >= 2: the integer
+    part k of s, s clamped to [k, k + 1], and the drop-branch table t."""
     k = int(max(min(math.floor(s), n - 1), 0))
     s = max(min(s, float(k + 1)), float(k))
     s1 = [s - (k - c) for c in range(n)]
@@ -114,26 +143,8 @@ def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
             else:
                 t_row[c] = 1.0 - stay / total_w
         w = level
-        t.append(t_row)
-
-    x = [0.0] * n
-    rt = rng.uniform(size=n - 1).tolist()  # simplex-type decisions
-    rs = rng.uniform(size=n - 1)  # position inside the simplex
-    total = s
-    j = k + 1
-    accum = 0.0
-    scale = 1.0
-    for i in range(n - 1, 0, -1):
-        e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
-        # numpy power on one element: Python's ** differs in the last bit in ~1/4 of draws
-        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
-        accum = accum + (1.0 - sx) * scale * total / (i + 1)
-        scale = sx * scale
-        x[n - i - 1] = accum + scale * e
-        total = total - e
-        j = j - int(e)
-    x[n - 1] = accum + scale * total
-    return np.array(x)[rng.permutation(n)]
+        t.append(tuple(t_row))
+    return k, s, tuple(t)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

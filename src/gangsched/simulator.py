@@ -92,6 +92,19 @@ def hyperperiod(ts: TaskSystem) -> int:
     return h
 
 
+def miss_horizon(ts: TaskSystem, horizon: Optional[int]) -> Optional[int]:
+    """A horizon of at most `horizon` slots with the same first miss.
+
+    With D <= T a first hyperperiod without a miss repeats forever, so
+    the miss, if any, lies in it: min(horizon, lcm).  None (one
+    hyperperiod) and horizons above HORIZON_GUARD come back unchanged,
+    so that simulate_synchronous refuses the same horizons.
+    """
+    if horizon is None or horizon > HORIZON_GUARD:
+        return horizon
+    return min(horizon, math.lcm(*(t.period for t in ts.tasks)))
+
+
 def simulate_synchronous(
     ts: TaskSystem,
     horizon: Optional[int] = None,

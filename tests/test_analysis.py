@@ -21,9 +21,11 @@ from gangsched.analysis import (
     ScanGuardError,
     Variant,
     _first_violation,
+    _scan_ranges,
     analyze,
     analyze_task,
     check_condition,
+    default_delta_cap,
     scan_upper_bound,
     system_outcome,
 )
@@ -280,6 +282,11 @@ def bound_systems(draw):
                         GangTask(1, 4, 999999, 999999, 10**6))))
 @example(two_task_system())
 @example(TaskSystem(1, (GangTask(0, 1, 1, 1, 1),)))
+# h - 1 > n: every wcet is carried under both strategies.
+@example(TaskSystem(2**40, (GangTask(0, 1, 3, 5, 7), GangTask(1, 2**39, 2, 4, 9),
+                            GangTask(2, 2**40, 1, 1, 11))))
+# All widths distinct: one h per task.
+@example(TaskSystem(6, tuple(GangTask(i, i + 1, 1, 2 + i, 3 + 2 * i) for i in range(6))))
 def test_integer_scan_bound_matches_fraction_oracle(ts):
     for strategy in CarryInStrategy:
         for k in range(ts.n):
@@ -289,6 +296,43 @@ def test_integer_scan_bound_matches_fraction_oracle(ts):
             value = got.value if isinstance(got, DeltaBound) else got.denominator
             assert isinstance(value, Fraction)
             assert got == want
+    # The last window that analyze and system_outcome scan to, from the
+    # bound table: ceil(bound), the refutation cap, or None (no scan).
+    for config in ALL_CONFIGS:
+        want = []
+        for k in range(ts.n):
+            bound = fraction_scan_upper_bound(ts, k, config.carry_in_strategy)
+            if isinstance(bound, DeltaBound):
+                want.append(math.ceil(bound.value))
+            else:
+                want.append(default_delta_cap(ts) if config.variant is Variant.STRICT else None)
+        over = [k for k, last in enumerate(want)
+                if last is not None and last - ts.tasks[k].deadline + 1 > SCAN_GUARD]
+        if over:
+            with pytest.raises(ScanGuardError, match=f"^task {over[0]}: "):
+                _scan_ranges(ts, config, range(ts.n))
+        else:
+            assert [last for _, last in _scan_ranges(ts, config, range(ts.n))] == want
+
+
+@pytest.mark.parametrize("n", [7, 40])
+def test_one_bound_table_per_system(monkeypatch, n):
+    # analyze and system_outcome take every task's scan range from one
+    # table: one lcm of the periods per call, not one per task.
+    rng = random.Random(n)
+    ts = TaskSystem(8, tuple(GangTask(i, rng.randint(1, 8), 1, rng.randint(2, 9), 9 + i)
+                             for i in range(n)))
+    builds, lcms = [], []
+    build, lcm = analysis._bound_table, math.lcm
+    monkeypatch.setattr(analysis, "_bound_table",
+                        lambda *args: builds.append(1) or build(*args))
+    monkeypatch.setattr(math, "lcm", lambda *args: lcms.append(1) or lcm(*args))
+    for config in ALL_CONFIGS:
+        for run in (analyze, system_outcome):
+            builds.clear()
+            lcms.clear()
+            run(ts, config)
+            assert (len(builds), len(lcms)) == (1, 1), (run.__name__, config)
 
 
 def test_scan_guard_system_bound_is_tiny_positive():

@@ -4,8 +4,9 @@ import gangsched
 from gangsched import analysis, cli, demand, generator, model
 
 # Removed: the scalar helpers folded into check_condition, three names
-# that only tests used, the numpy block scan's evaluator and sizes, and
-# the generator's redraw limit (every draw is valid).
+# that only tests used, the numpy block scan's evaluator and sizes, the
+# generator's redraw limit (every draw is valid) and the per-task scan
+# range (every range now comes from one bound table per system).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -22,6 +23,7 @@ DELETED = (
     "_FIRST_BLOCK",
     "_SCAN_CHUNK",
     "_MAX_REDRAWS",
+    "_scan_range",
 )
 
 

@@ -237,6 +237,26 @@ def test_experiment_rejects_invalid_flags_whatever_the_points(tmp_path):
                              "sim_miss,gen_errors,variant,carry_in\n")
 
 
+def test_experiment_long_horizon_costs_at_most_one_hyperperiod():
+    # Periods 2-3, so an lcm of at most 6: a horizon of 10^11 slots gives
+    # the CSV of a horizon of 1000, without simulating 10^11 slots.
+    args = ("experiment", "--n", "2", "--m", "2", "--points", "1", "--trials", "1",
+            "--t-min", "2", "--t-max", "3", "--load-max", "0.2", "--horizon")
+    long = run_cli(*args, "100000000000", timeout=30)
+    short = run_cli(*args, "1000")
+    assert (long.returncode, long.stderr) == (0, "")
+    assert long.stdout == short.stdout
+
+
+def test_experiment_horizon_over_the_guard_is_still_an_error():
+    from gangsched.simulator import HORIZON_GUARD
+
+    horizon = str(HORIZON_GUARD + 1)
+    assert main_in_process("experiment", "--n", "2", "--m", "2", "--points", "1",
+                           "--trials", "1", "--horizon", horizon) == (
+        1, "", f"error: horizon {horizon} exceeds guard {HORIZON_GUARD}\n")
+
+
 def test_experiment_auto_horizon_caps_systems_over_the_horizon_guard(tmp_path):
     # --horizon auto simulates min(lcm, EXPERIMENT_SIM_CAP) slots; it must
     # not ask for the full hyperperiod, which the guard refuses here.

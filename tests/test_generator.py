@@ -9,6 +9,7 @@ from gangsched.generator import (
     DeadlineMode,
     GenParams,
     GenerationError,
+    _stafford_table,
     generate_task_system,
     rand_fixed_sum,
     trial_rng,
@@ -173,3 +174,30 @@ def test_trial_streams_are_independent_of_generation_order():
     trial_rng(9, 4).uniform()
     b = trial_rng(9, 3).uniform()
     assert a == b
+    # The cached Stafford tables do not depend on the order: two loads and
+    # two n, interleaved draw by draw, then grouped by (n, load), each
+    # from an empty cache.
+    interleaved = [(n, load, trial) for trial in range(3) for n in (4, 9)
+                   for load in (Fraction(1, 5), Fraction(3, 4))]
+
+    def draw(key):
+        n, load, trial = key
+        return generate_task_system(GenParams(n=n, m=3, target_load=load, seed=9), trial)
+
+    _stafford_table.cache_clear()
+    first = {key: draw(key) for key in interleaved}
+    _stafford_table.cache_clear()
+    second = {key: draw(key) for key in sorted(interleaved)}
+    assert first == second
+
+
+def test_stafford_table_cache_stays_bounded():
+    _stafford_table.cache_clear()
+    maxsize = _stafford_table.cache_info().maxsize
+    for point in range(1, 2 * maxsize + 2):
+        params = GenParams(n=5, m=2, target_load=Fraction(point, 2 * maxsize + 1), seed=1)
+        for trial in range(3):
+            generate_task_system(params, trial)
+    info = _stafford_table.cache_info()
+    assert info.misses == 2 * maxsize + 1  # one table per sweep point
+    assert info.currsize <= maxsize
