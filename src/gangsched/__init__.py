@@ -38,6 +38,7 @@ from .simulator import (
     HorizonOverflowError,
     ScheduleTrace,
     check_no_miss,
+    first_miss,
     hyperperiod,
     simulate_synchronous,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "analyze_task",
     "check_condition",
     "check_no_miss",
+    "first_miss",
     "generate_task_system",
     "hbf",
     "hbf_prime",

@@ -42,12 +42,7 @@ from .analysis import (
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import TaskSystem, parse_task_system, print_task_system
-from .simulator import (
-    HorizonOverflowError,
-    ScheduleTrace,
-    miss_horizon,
-    simulate_synchronous,
-)
+from .simulator import HorizonOverflowError, ScheduleTrace, first_miss, simulate_synchronous
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -324,13 +319,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     ts = _load_system(args.input)
     horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
-    stop_on_miss = not args.continue_after_miss
+    parts = ["slot,task,processor\n"]
     if args.no_trace:
         # Only the first miss is printed.
-        horizon, stop_on_miss = miss_horizon(ts, horizon), True
-    trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=stop_on_miss)
-    parts = ["slot,task,processor\n"]
-    if not args.no_trace:
+        miss = first_miss(ts, horizon)
+    else:
+        trace = simulate_synchronous(ts, horizon=horizon,
+                                     stop_on_miss=not args.continue_after_miss)
         for start, end, allocation in trace.runs:
             # One row per (task, processor), the slot number filled in per slot.
             rows = "".join(
@@ -338,11 +333,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             if rows:
                 parts.extend(map(rows.format, range(start, end)))
-    if trace.first_miss is not None:
-        task, deadline = trace.first_miss
-        parts.append(f"MISS,{task},{deadline}\n")
+        miss = trace.first_miss
+    if miss is not None:
+        parts.append(f"MISS,{miss[0]},{miss[1]}\n")
     _write_text("".join(parts), args.out)
-    return EXIT_NOT_PROVEN if trace.first_miss is not None else EXIT_OK
+    return EXIT_NOT_PROVEN if miss is not None else EXIT_OK
 
 
 # --- experiment -----------------------------------------------------------
@@ -381,8 +376,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _experiment_miss(ts: TaskSystem, horizon: Optional[int]) -> bool:
-    horizon = miss_horizon(ts, EXPERIMENT_SIM_CAP if horizon is None else horizon)
-    return simulate_synchronous(ts, horizon=horizon).first_miss is not None
+    return first_miss(ts, EXPERIMENT_SIM_CAP if horizon is None else horizon) is not None
 
 
 def _format_load(load: Fraction) -> str:

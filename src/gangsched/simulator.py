@@ -22,7 +22,9 @@ recorded, because a miss is detected at the slot boundary where a
 deadline passes with work remaining; they never change the allocation.
 Work is therefore proportional to the number of releases, completions
 and deadlines, not to the horizon, and so is the memory of the
-run-length trace.
+run-length trace.  `first_miss` runs the same event loop without
+building allocations or runs, for callers that only ask whether a miss
+occurs.
 
 The synchronous periodic arrival sequence (all tasks release at 0 and
 every period thereafter) is one legal sporadic scenario, so a deadline
@@ -86,23 +88,20 @@ class ScheduleTrace:
 
 def hyperperiod(ts: TaskSystem) -> int:
     """lcm of all periods; raises HorizonOverflowError above HORIZON_GUARD slots."""
-    h = math.lcm(*(t.period for t in ts.tasks))
+    return _guard_hyperperiod(math.lcm(*(t.period for t in ts.tasks)))
+
+
+def _guard_hyperperiod(h: int) -> int:
     if h > HORIZON_GUARD:
         raise HorizonOverflowError(f"hyperperiod {h} exceeds guard {HORIZON_GUARD}")
     return h
 
 
-def miss_horizon(ts: TaskSystem, horizon: Optional[int]) -> Optional[int]:
-    """A horizon of at most `horizon` slots with the same first miss.
-
-    With D <= T a first hyperperiod without a miss repeats forever, so
-    the miss, if any, lies in it: min(horizon, lcm).  None (one
-    hyperperiod) and horizons above HORIZON_GUARD come back unchanged,
-    so that simulate_synchronous refuses the same horizons.
-    """
-    if horizon is None or horizon > HORIZON_GUARD:
-        return horizon
-    return min(horizon, math.lcm(*(t.period for t in ts.tasks)))
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if horizon > HORIZON_GUARD:
+        raise HorizonOverflowError(f"horizon {horizon} exceeds guard {HORIZON_GUARD}")
 
 
 def simulate_synchronous(
@@ -125,63 +124,93 @@ def simulate_synchronous(
     """
     if horizon is None:
         horizon = hyperperiod(ts)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if horizon > HORIZON_GUARD:
-        raise HorizonOverflowError(f"horizon {horizon} exceeds guard {HORIZON_GUARD}")
+    _check_horizon(horizon)
+    runs: list[Run] = []
+    miss = _simulate(ts, horizon, stop_on_miss, runs)
+    return ScheduleTrace(horizon, tuple(runs), miss)
 
+
+def first_miss(ts: TaskSystem, horizon: Optional[int] = None) -> Optional[tuple[int, int]]:
+    """The first miss of simulate_synchronous(ts, horizon), or None.
+
+    The horizon is checked as simulate_synchronous checks it (None means
+    one hyperperiod), but at most one hyperperiod is simulated and no
+    runs are kept.  With D <= T a first hyperperiod without a miss
+    leaves no job unfinished, so the state at the lcm repeats the state
+    at 0 and the schedule repeats forever: the miss, if any, lies in
+    the first min(horizon, lcm) slots.
+    """
+    lcm = math.lcm(*(t.period for t in ts.tasks))
+    if horizon is None:
+        horizon = _guard_hyperperiod(lcm)
+    _check_horizon(horizon)
+    return _simulate(ts, min(horizon, lcm), True, None)
+
+
+def _simulate(
+    ts: TaskSystem,
+    horizon: int,
+    stop_on_miss: bool,
+    runs: Optional[list[Run]],
+) -> Optional[tuple[int, int]]:
+    """The event loop: returns the first miss and, unless `runs` is None,
+    appends the canonical runs of the schedule to it."""
     m = ts.processors
     next_release = [0] * ts.n
+    release_at = 0  # min(next_release)
     # Unfinished released jobs as [deadline, task index, width, remaining],
     # kept sorted: list order is EDF order, since no two jobs share both a
     # deadline and a task index.
     active: list[list[int]] = []
-    runs: list[Run] = []
-    first_miss: Optional[tuple[int, int]] = None
+    miss: Optional[tuple[int, int]] = None
     now = 0
     while True:
-        for t in ts.tasks:
-            if next_release[t.index] == now:
-                bisect.insort(active, [now + t.deadline, t.index, t.width, t.wcet])
-                next_release[t.index] = now + t.period
-        if first_miss is None and active and active[0][0] <= now:
-            first_miss = (active[0][1], active[0][0])
+        if now == release_at:
+            for t in ts.tasks:
+                if next_release[t.index] == now:
+                    bisect.insort(active, [now + t.deadline, t.index, t.width, t.wcet])
+                    next_release[t.index] = now + t.period
+            release_at = min(next_release, default=horizon)
+        if miss is None and active and active[0][0] <= now:
+            miss = (active[0][1], active[0][0])
             if stop_on_miss:
                 break
         if now == horizon:
             break
 
+        # Next event: a release, a completion, a deadline while no miss is
+        # recorded (every active deadline is then later than now), or the
+        # horizon.  The allocation holds for every slot until then.
+        end = release_at if release_at < horizon else horizon
+        if miss is None and active and active[0][0] < end:
+            end = active[0][0]
         allocation: list[tuple[int, tuple[int, ...]]] = []
         running: list[int] = []  # positions in active
         used = 0
         for pos, job in enumerate(active):
             width = job[2]
             if used + width <= m:
-                allocation.append((job[1], tuple(range(used, used + width))))
+                if runs is not None:
+                    allocation.append((job[1], tuple(range(used, used + width))))
                 used += width
                 running.append(pos)
+                if now + job[3] < end:
+                    end = now + job[3]
                 if used == m:
                     break  # no job fits on a full platform
-        # Next event: a release, a completion, a deadline while no miss is
-        # recorded (every active deadline is then later than now), or the
-        # horizon.  The allocation holds for every slot until then.
-        end = min(horizon, min(next_release, default=horizon))
-        if first_miss is None and active:
-            end = min(end, active[0][0])
-        for pos in running:
-            end = min(end, now + active[pos][3])
         for pos in reversed(running):
             active[pos][3] -= end - now
             if active[pos][3] == 0:
                 del active[pos]
 
-        slot = tuple(allocation)
-        if runs and runs[-1][2] == slot:
-            runs[-1] = (runs[-1][0], end, slot)
-        else:
-            runs.append((now, end, slot))
+        if runs is not None:
+            slot = tuple(allocation)
+            if runs and runs[-1][2] == slot:
+                runs[-1] = (runs[-1][0], end, slot)
+            else:
+                runs.append((now, end, slot))
         now = end
-    return ScheduleTrace(horizon, tuple(runs), first_miss)
+    return miss
 
 
 def check_no_miss(ts: TaskSystem) -> bool:
@@ -190,4 +219,4 @@ def check_no_miss(ts: TaskSystem) -> bool:
     False proves the system is not Gang EDF schedulable; True is only the
     absence of a counterexample in this particular scenario.
     """
-    return simulate_synchronous(ts).first_miss is None
+    return first_miss(ts) is None

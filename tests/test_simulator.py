@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gangsched import cli
+from gangsched import cli, simulator
 from gangsched.model import GangTask, TaskSystem, print_task_system
 from gangsched.simulator import (
     HorizonOverflowError,
     check_no_miss,
+    first_miss,
     hyperperiod,
     simulate_synchronous,
 )
@@ -52,8 +53,11 @@ def test_hyperperiod_default_guard_trips_on_huge_lcm():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     ts = TaskSystem(1, tuple(GangTask(i, 1, 1, p, p) for i, p in enumerate(primes)))
     assert math.lcm(*primes) > 2**48
-    with pytest.raises(HorizonOverflowError):
+    with pytest.raises(HorizonOverflowError) as refused:
         hyperperiod(ts)
+    for simulate in (simulate_synchronous, first_miss):
+        with pytest.raises(HorizonOverflowError, match=f"^{refused.value}$"):
+            simulate(ts)
 
 
 # --- counterexample schedule --------------------------------------------------
@@ -120,8 +124,11 @@ def test_auto_horizon_is_hyperperiod():
 
 
 def test_explicit_horizon_guard():
-    with pytest.raises(HorizonOverflowError):
+    with pytest.raises(HorizonOverflowError) as refused:
         simulate_synchronous(two_task_system(), horizon=2**48 + 1)
+    with pytest.raises(HorizonOverflowError, match=f"^{refused.value}$"):
+        first_miss(two_task_system(), horizon=2**48 + 1)
+    assert first_miss(two_task_system(), horizon=0) is None
 
 
 # --- behavioral properties ----------------------------------------------------
@@ -252,6 +259,7 @@ def simulated_systems(draw):
 @given(simulated_systems())
 @example((two_task_system(), 5))
 @example((TaskSystem(3, tuple(GangTask(i, 1, 4, 4, 4) for i in range(3))), 12))
+@example((TaskSystem(3, tuple(GangTask(i, 1, 4, 4, 4) for i in range(3))), 400))
 def test_event_driven_simulation_matches_slot_reference(case):
     ts, horizon = case
     ref_slots, ref_miss = reference_trace(ts, horizon)
@@ -266,6 +274,11 @@ def test_event_driven_simulation_matches_slot_reference(case):
     assert stopped.slots == ref_slots[:cut]
     assert stopped.first_miss == ref_miss
     assert_canonical_runs(stopped, len(stopped.slots))
+
+    # first_miss simulates at most one hyperperiod of the reference's horizon.
+    assert first_miss(ts, horizon) == ref_miss
+    if math.lcm(*(t.period for t in ts.tasks)) <= 2 * 10**4:
+        assert first_miss(ts) == simulate_synchronous(ts).first_miss
 
 
 def long_period_system() -> TaskSystem:
@@ -321,6 +334,29 @@ def test_simulate_csv_bytes_match_reference_rows(tmp_path):
                 expected = reference_csv(ts, horizon, no_trace, stop_on_miss)
                 assert out.read_bytes() == expected.encode()
                 assert code == (2 if "MISS," in expected else 0)
+
+
+def test_miss_only_callers_build_no_trace(monkeypatch, tmp_path):
+    built = []
+    trace_type = simulator.ScheduleTrace
+
+    def counted(*args):
+        built.append(args)
+        return trace_type(*args)
+
+    monkeypatch.setattr(simulator, "ScheduleTrace", counted)
+    source = tmp_path / "ts.txt"
+    source.write_text(print_task_system(two_task_system()))
+    out = tmp_path / "out.csv"
+    assert cli.main(["experiment", "--n", "3", "--m", "2", "--points", "2", "--trials", "3",
+                     "--t-min", "2", "--t-max", "20", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [row[6] for row in rows] == ["0", "0"]  # every trial was simulated
+    assert cli.main(["simulate", "--input", str(source), "--no-trace", "--out", str(out)]) == 2
+    assert check_no_miss(two_task_system()) is False
+    assert built == []
+    assert cli.main(["simulate", "--input", str(source), "--out", str(out)]) == 2
+    assert len(built) == 1
 
 
 def test_simulate_no_trace_over_a_billion_slots(tmp_path):
