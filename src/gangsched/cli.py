@@ -14,12 +14,13 @@ verdict present.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .analysis import (
     AnalysisConfig,
@@ -42,7 +43,7 @@ from .analysis import (
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import TaskSystem, parse_task_system, print_task_system
-from .simulator import HorizonOverflowError, ScheduleTrace, first_miss, simulate_synchronous
+from .simulator import HorizonOverflowError, Run, ScheduleTrace, first_miss, simulate_synchronous
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -66,6 +67,10 @@ EXPERIMENT_HEADER = (
 # of log-uniform period draws are astronomically long, and the sim_miss
 # column only counts misses actually observed.
 EXPERIMENT_SIM_CAP = 2000
+
+# Most slots rendered into one piece of the `simulate` CSV; the memory a
+# traced `simulate` needs for its text grows with this, not with the horizon.
+CSV_CHUNK_SLOTS = 65536
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 
@@ -319,25 +324,63 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     ts = _load_system(args.input)
     horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
-    parts = ["slot,task,processor\n"]
     if args.no_trace:
         # Only the first miss is printed.
         miss = first_miss(ts, horizon)
+        chunks: Iterable[str] = ()
     else:
         trace = simulate_synchronous(ts, horizon=horizon,
                                      stop_on_miss=not args.continue_after_miss)
-        for start, end, allocation in trace.runs:
-            # One row per (task, processor), the slot number filled in per slot.
-            rows = "".join(
-                f"{{0}},{task},{proc}\n" for task, procs in allocation for proc in procs
-            )
-            if rows:
-                parts.extend(map(rows.format, range(start, end)))
         miss = trace.first_miss
-    if miss is not None:
-        parts.append(f"MISS,{miss[0]},{miss[1]}\n")
-    _write_text("".join(parts), args.out)
+        chunks = _csv_chunks(trace.runs)
+    trailer = () if miss is None else (f"MISS,{miss[0]},{miss[1]}\n",)
+    # Written only now that the simulation has returned: an error leaves
+    # --out untouched.
+    _write(itertools.chain(("slot,task,processor\n",), chunks, trailer), args.out)
     return EXIT_NOT_PROVEN if miss is not None else EXIT_OK
+
+
+def _csv_chunks(runs: Iterable[Run]) -> Iterator[str]:
+    """The CSV rows of `runs`, in pieces of at most CSV_CHUNK_SLOTS slots.
+
+    Every slot of a run prints the same rows after its slot number, so a
+    slot is one `str(slot).join` over them.  Slots 10q..10q+9 all begin
+    with `str(q)` (nothing for q = 0) and one digit, so a whole decade is
+    one `str(q).join` over ten rows per allocated processor.
+    """
+    parts: list[str] = []
+    room = CSV_CHUNK_SLOTS
+    for start, end, allocation in runs:
+        suffixes = [f",{task},{proc}\n" for task, procs in allocation for proc in procs]
+        if not suffixes:
+            continue
+        while start < end:
+            stop = min(end, start + room)
+            parts += _slot_rows(start, stop, suffixes)
+            room -= stop - start
+            start = stop
+            if not room:
+                yield "".join(parts)
+                parts, room = [], CSV_CHUNK_SLOTS
+    if parts:
+        yield "".join(parts)
+
+
+def _slot_rows(start: int, stop: int, suffixes: list[str]) -> list[str]:
+    """Rows of slots start..stop-1, each printing `suffixes` after its
+    number: per slot in the partial decades at the ends, per decade between."""
+    slot = ["", *suffixes]
+    first, last = -(-start // 10), stop // 10
+    if first >= last:
+        return [str(s).join(slot) for s in range(start, stop)]
+    decade = ["", *(f"{digit}{suffix}" for digit in range(10) for suffix in suffixes)]
+    rows = [str(s).join(slot) for s in range(start, 10 * first)]
+    if first == 0:
+        rows.append("".join(decade))
+        first = 1
+    rows += [q.join(decade) for q in map(str, range(first, last))]
+    rows += [str(s).join(slot) for s in range(10 * last, stop)]
+    return rows
 
 
 # --- experiment -----------------------------------------------------------
@@ -371,7 +414,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         row = (_format_load(load), args.trials - gen_errors, *counts.values(), sim_miss,
                gen_errors, config.variant.value, config.carry_in_strategy.value)
         lines.append(",".join(map(str, row)))
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK
 
 
@@ -430,11 +473,12 @@ def _parse_horizon(value: str) -> int:
     return horizon
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _outcome_text(outcome) -> str:

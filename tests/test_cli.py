@@ -2,8 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import random
+import resource
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -188,6 +192,106 @@ def test_simulate_no_trace_over_the_horizon_guard_is_still_an_error(cx_file):
     assert main_in_process("simulate", "--input", cx_file, "--horizon", horizon,
                            "--no-trace") == (
         1, "", f"error: horizon {horizon} exceeds guard {HORIZON_GUARD}\n")
+
+
+def test_simulate_over_the_horizon_guard_leaves_out_untouched(cx_file, tmp_path):
+    from gangsched.simulator import HORIZON_GUARD
+
+    out = tmp_path / "existing.csv"
+    out.write_bytes(b"kept\n")
+    horizon = str(HORIZON_GUARD + 1)
+    assert main_in_process("simulate", "--input", cx_file, "--horizon", horizon,
+                           "--out", str(out)) == (
+        1, "", f"error: horizon {horizon} exceeds guard {HORIZON_GUARD}\n")
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n", ()),
+    ("m 5\ntask 4 1 1 3\ntask 2 1 1 2\n", ("--continue-after-miss",)),
+])
+def test_simulate_out_and_stdout_bytes_are_identical(tmp_path, monkeypatch, text, flags):
+    # Over 3,000 slots in chunks of 1,000: runs cross chunk, decade and
+    # digit-width boundaries.
+    monkeypatch.setattr(cli, "CSV_CHUNK_SLOTS", 1000)
+    path, out = tmp_path / "ts.txt", tmp_path / "out.csv"
+    path.write_text(text)
+    argv = ("simulate", "--input", str(path), "--horizon", "3210", *flags)
+    code, stdout, stderr = main_in_process(*argv)
+    assert stdout.count("\n") > 3000 and stderr == ""
+    assert main_in_process(*argv, "--out", str(out)) == (code, "", "")
+    assert out.read_bytes() == stdout.encode()
+
+
+def reference_rows(runs) -> str:
+    return "".join(f"{slot},{task},{proc}\n"
+                   for start, end, allocation in runs for slot in range(start, end)
+                   for task, procs in allocation for proc in procs)
+
+
+def random_runs(rng: random.Random) -> list:
+    """Contiguous runs from slot 0 of 1-30 slots, some idle, with gangs on
+    up to 6 processors; long idle runs jump to just before 10^4 and 10^5."""
+    runs, now = [], 0
+    for lo, hi in ((0, 130), (rng.randint(9_995, 10_005), 10_010),
+                   (rng.randint(99_990, 100_010), 100_015)):
+        if now < lo:
+            runs.append((now, lo, ()))
+            now = lo
+        while now < hi:
+            procs = list(range(rng.randint(1, 6)))
+            rng.shuffle(procs)
+            allocation = []
+            while procs and rng.random() < 0.9:
+                width = rng.randint(1, len(procs))
+                gang, procs = procs[:width], procs[width:]
+                allocation.append((rng.randint(0, 20), tuple(sorted(gang))))
+            end = now + rng.randint(1, 30)
+            runs.append((now, end, tuple(allocation)))
+            now = end
+    return runs
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 13, 64, cli.CSV_CHUNK_SLOTS])
+def test_csv_chunks_match_per_slot_rows(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "CSV_CHUNK_SLOTS", chunk)
+    rng = random.Random(13 + chunk)
+    for _ in range(60):
+        runs = random_runs(rng)
+        chunks = list(cli._csv_chunks(runs))
+        assert "".join(chunks) == reference_rows(runs)
+        for piece in chunks:
+            assert 0 < len({row.split(",")[0] for row in piece.splitlines()}) <= chunk
+
+
+def test_csv_chunks_of_a_huge_run_are_bounded():
+    # One busy run of 10^12 slots: the first chunks come at once.  Run
+    # under a 1 GiB address-space limit, so that rendering the whole run
+    # at once fails fast instead of taking the machine's memory.
+    script = textwrap.dedent("""
+        import itertools
+        from gangsched import cli
+        from gangsched.simulator import ScheduleTrace
+
+        trace = ScheduleTrace(10**12, ((0, 10**12, ((0, (0, 1)), (1, (2,)))),), None)
+        bound = cli.CSV_CHUNK_SLOTS
+        slots = 0
+        for chunk in itertools.islice(cli._csv_chunks(trace.runs), 3):
+            rows = chunk.splitlines()
+            assert rows[0] == f"{slots},0,0" and rows[-1] == f"{slots + bound - 1},1,2"
+            assert len(rows) == 3 * bound
+            slots += bound
+        print(slots)
+    """)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, preexec_fn=limit_memory, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{3 * cli.CSV_CHUNK_SLOTS}\n", "")
 
 
 # --- experiment -------------------------------------------------------------
@@ -429,6 +533,11 @@ def golden_commands():
         for flags in ((), ("--no-trace",), ("--continue-after-miss",),
                       ("--no-trace", "--continue-after-miss")):
             yield ("simulate", "--input", name, "--horizon", "50", *flags)
+    # Traces thousands of slots long, across decade and digit-width
+    # boundaries; dense.txt is one 4-processor run of 12,344 slots.
+    yield ("simulate", "--input", "m5.txt", "--horizon", "12345", "--continue-after-miss")
+    yield ("simulate", "--input", "late.txt", "--horizon", "1005", "--continue-after-miss")
+    yield ("simulate", "--input", "dense.txt", "--horizon", "12345")
     for flags in EXPERIMENT_FLAG_SETS[:3:2]:
         yield ("experiment", "--seed", "5", *flags)
     yield ("gen", "--n", "4", "--m", "3", "--load", "0.7", "--seed", "3", "--count", "4",
@@ -509,6 +618,9 @@ GOLDEN = {
     "simulate --input late.txt --horizon 50 --continue-after-miss": "91adf7d866201c82",
     ("simulate --input late.txt --horizon 50 --no-trace "
      "--continue-after-miss"): "022a3a45d70d04bb",
+    "simulate --input m5.txt --horizon 12345 --continue-after-miss": "bd8685310d3d4b3d",
+    "simulate --input late.txt --horizon 1005 --continue-after-miss": "d1db45f803cddf2d",
+    "simulate --input dense.txt --horizon 12345": "3a26de4db2e2737e",
     ("experiment --seed 5 --variant original --load-max 0.4 --points 5 "
      "--trials 6 --horizon 200"): "cd9606d1130a8a28",
     ("experiment --seed 5 --n 4 --m 3 --points 4 --trials 8 --t-min 4 --t-max "
