@@ -37,7 +37,6 @@ from .model import (
 from .simulator import (
     HorizonOverflowError,
     ScheduleTrace,
-    check_no_miss,
     first_miss,
     hyperperiod,
     simulate_synchronous,
@@ -67,7 +66,6 @@ __all__ = [
     "analyze",
     "analyze_task",
     "check_condition",
-    "check_no_miss",
     "first_miss",
     "generate_task_system",
     "hbf",

@@ -141,14 +141,18 @@ class Certified:
 
 @dataclass(frozen=True)
 class NotProven:
-    """The sufficient condition failed at witness_delta.
+    """The sufficient condition failed at witness_delta, where the scan
+    found lhs against rhs.
 
     The test cannot certify the task; this does NOT prove infeasibility.
+    check_condition(ts, task_index, witness_delta, config) gives the
+    per-task InterferenceSummary at the witness, with the same lhs and rhs.
     """
 
     task_index: int
     witness_delta: int
-    summary: InterferenceSummary
+    lhs: int
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -414,9 +418,9 @@ def _task_outcome(
     common, _, denominator = row
     if last is None:
         return Inapplicable(k, Fraction(denominator, common), scanned_up_to=None)
-    witness = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
-    if witness is not None:
-        return NotProven(k, witness, check_condition(ts, k, witness, config)[1])
+    found = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
+    if found is not None:
+        return NotProven(k, *found)
     if denominator > 0:
         return Certified(k, scanned_up_to=last)
     return Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
@@ -424,10 +428,10 @@ def _task_outcome(
 
 def _first_violation(
     ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
-) -> Optional[int]:
-    """Smallest integer delta in [lo, hi] (lo >= D_k) violating the
-    condition, or None.  The caller bounds the range by SCAN_GUARD (see
-    _scan_ranges).
+) -> Optional[tuple[int, int, int]]:
+    """(delta, lhs, rhs) at the smallest integer delta in [lo, hi]
+    (lo >= D_k) violating the condition, or None.  The caller bounds the
+    range by SCAN_GUARD (see _scan_ranges).
 
     Walks lo, the breakpoints inside (lo, hi) in increasing order (see the
     module docstring) and hi.  The first violated point either is lo or
@@ -437,8 +441,8 @@ def _first_violation(
     if hi < lo:
         return None
     violated = _violation_test(ts, k, config)
-    if violated(lo):
-        return lo
+    if found := violated(lo):
+        return (lo, *found)
     c_k = ts.tasks[k].wcet
     families = []
     for t in ts.tasks:
@@ -451,22 +455,23 @@ def _first_violation(
     for point in chain(merge(*families), (hi,)):
         if point <= held:
             continue
-        if violated(point):
+        if found := violated(point):
             while point - held > 1:
                 mid = (held + point) // 2
-                if violated(mid):
-                    point = mid
+                if at_mid := violated(mid):
+                    point, found = mid, at_mid
                 else:
                     held = mid
-            return point
+            return (point, *found)
         held = point
     return None
 
 
-def _violation_test(ts: TaskSystem, k: int, config: AnalysisConfig) -> Callable[[int], bool]:
-    """Task k's scan test, built once per scan: whether check_condition
-    fails at a window length delta >= D_k, in the lemma form of the module
-    docstring (every task clipped at delta - C_k, and no clamp at 0)."""
+def _violation_test(ts: TaskSystem, k: int,
+                    config: AnalysisConfig) -> Callable[[int], Optional[tuple[int, int]]]:
+    """Task k's scan test, built once per scan: (lhs, rhs) where check_condition
+    fails at a window length delta >= D_k, else None, in the lemma form of the
+    module docstring (every task clipped at delta - C_k, and no clamp at 0)."""
     own = ts.tasks[k]
     c_k, h = own.wcet, ts.processors - own.width + 1
     keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else max(h - 1, 0)
@@ -490,6 +495,7 @@ def _violation_test(ts: TaskSystem, k: int, config: AnalysisConfig) -> Callable[
             extras.append((carry if carry < width else width) * clip - no_carry)
         extras.sort(reverse=True)
         lhs += sum(extras[:keep])
-        return lhs >= width * h if strict else lhs > width * h
+        rhs = width * h
+        return (lhs, rhs) if (lhs >= rhs if strict else lhs > rhs) else None
 
     return violated

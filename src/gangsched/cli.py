@@ -5,10 +5,11 @@ command is deterministic given its flags and seed; reports that carry
 exact rationals print them as fractions, never as rounded decimals.
 
 Exit codes: 0 success / schedulable / no miss; 1 input error (a file,
-a flag value or generation parameters), or a scan longer than SCAN_GUARD
-windows; 2 not proven / deadline miss, and argparse's own usage errors
-(an unknown command or flag, a value of the wrong type); 3 inapplicable
-verdict present.
+a flag value or generation parameters), a scan longer than SCAN_GUARD
+windows, or a stdout closed by its reader (with no error line); 2 not
+proven / deadline miss, and argparse's own usage errors (an unknown
+command or flag, a value of the wrong type); 3 inapplicable verdict
+present.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -89,7 +91,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head`): no error line, and
+        # stdout on devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     except (
         HorizonOverflowError, ScanGuardError, GenerationError, OSError, ValueError
     ) as err:  # ValueError covers ParseError and ValidationError
@@ -485,9 +494,8 @@ def _outcome_text(outcome) -> str:
     if isinstance(outcome, Certified):
         return f"Certified (windows scanned up to {outcome.scanned_up_to})"
     if isinstance(outcome, NotProven):
-        s = outcome.summary
         return (f"NotProven (witness delta={outcome.witness_delta}: "
-                f"lhs {s.lhs} vs rhs {s.rhs})")
+                f"lhs {outcome.lhs} vs rhs {outcome.rhs})")
     if isinstance(outcome, Inapplicable):
         if outcome.scanned_up_to is None:
             return (f"Inapplicable (scan-interval denominator {outcome.denominator}; "
@@ -509,8 +517,8 @@ def _outcome_json(outcome) -> dict:
             "task": outcome.task_index,
             "kind": "not_proven",
             "witness_delta": outcome.witness_delta,
-            "lhs": outcome.summary.lhs,
-            "rhs": outcome.summary.rhs,
+            "lhs": outcome.lhs,
+            "rhs": outcome.rhs,
         }
     if isinstance(outcome, Inapplicable):
         return {

@@ -211,12 +211,3 @@ def _simulate(
                 runs.append((now, end, slot))
         now = end
     return miss
-
-
-def check_no_miss(ts: TaskSystem) -> bool:
-    """True iff one hyperperiod of the synchronous scenario has no miss.
-
-    False proves the system is not Gang EDF schedulable; True is only the
-    absence of a counterexample in this particular scenario.
-    """
-    return first_miss(ts) is None

@@ -32,7 +32,7 @@ from gangsched.cli import main as cli_main
 from gangsched.demand import hbf, hbf_prime
 from gangsched.generator import DeadlineMode, GenParams, generate_task_system
 from gangsched.model import GangTask, TaskSystem, parse_task_system, print_task_system
-from gangsched.simulator import check_no_miss, simulate_synchronous
+from gangsched.simulator import first_miss, simulate_synchronous
 
 from oracles import (
     brute_hbf,
@@ -149,7 +149,7 @@ def test_criterion_4_soundness_sweep():
                     ts = generate_task_system(params, trial)
                     trial += 1
                     checked += 1
-                    clean = check_no_miss(ts)
+                    clean = first_miss(ts) is None
                     misses += not clean
                     if analyze(ts, STRICT).schedulable:
                         certified += 1
@@ -161,7 +161,7 @@ def test_criterion_4_soundness_sweep():
     cx_discrepancy = (
         cx_verdict.outcome_class == "inapplicable"
         and not any(isinstance(o, Certified) for o in cx_verdict.per_task)
-        and check_no_miss(cx) is False
+        and first_miss(cx) is not None
         # the miss happens although the non-strict necessary condition is
         # satisfied at the first window: the witness the strict fix repairs
         and check_condition(cx, 1, 2, ORIGINAL)[0] is True

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -356,7 +357,7 @@ def test_counterexample_strict_verdict_is_not_proven_at_first_window():
     outcome = analyze_task(two_task_system(), 1, STRICT)
     assert isinstance(outcome, NotProven)
     assert outcome.witness_delta == 2
-    assert outcome.summary.lhs == 2 and outcome.summary.rhs == 2
+    assert outcome.lhs == 2 and outcome.rhs == 2
 
 
 def test_single_task_strict_certified():
@@ -574,7 +575,26 @@ def test_system_outcome_scans_only_the_tasks_that_decide_it(monkeypatch, ts, con
 
 # --- scan implementation details --------------------------------------------
 
-def test_vectorized_scan_matches_scalar_condition():
+def assert_check_condition_at_the_witness(ts: TaskSystem, config: AnalysisConfig,
+                                          outcome: NotProven) -> None:
+    """The scan's lhs and rhs at the witness are ints and check_condition's."""
+    summary = check_condition(ts, outcome.task_index, outcome.witness_delta, config)[1]
+    assert (outcome.lhs, outcome.rhs) == (summary.lhs, summary.rhs)
+    assert type(outcome.lhs) is int and type(outcome.rhs) is int
+
+
+def scan_witness(ts: TaskSystem, k: int, lo: int, hi: int,
+                 config: AnalysisConfig) -> Optional[int]:
+    """_first_violation's witness, its lhs and rhs checked against
+    check_condition's."""
+    found = _first_violation(ts, k, lo, hi, config)
+    if found is None:
+        return None
+    assert_check_condition_at_the_witness(ts, config, NotProven(k, *found))
+    return found[0]
+
+
+def test_first_violation_matches_dense_scan_on_random_systems():
     rng = random.Random(13)
     for _ in range(30):
         ts = random_system(rng)
@@ -582,7 +602,7 @@ def test_vectorized_scan_matches_scalar_condition():
         lo = ts.tasks[k].deadline
         hi = lo + 300
         for config in ALL_CONFIGS:
-            got = _first_violation(ts, k, lo, hi, config)
+            got = scan_witness(ts, k, lo, hi, config)
             assert got == dense_first_violation(ts, k, lo, hi, config)
 
 
@@ -654,12 +674,12 @@ def scan_cases(draw):
 def test_first_violation_matches_dense_scan(case):
     ts, k, lo, hi = case
     for config in ALL_CONFIGS:
-        assert _first_violation(ts, k, lo, hi, config) == dense_first_violation(
+        assert scan_witness(ts, k, lo, hi, config) == dense_first_violation(
             ts, k, lo, hi, config
         )
 
 
-def test_first_violation_chunking_consistent():
+def test_first_violation_is_independent_of_the_scan_end():
     rng = random.Random(14)
     for _ in range(10):
         ts = random_system(rng)
@@ -670,11 +690,11 @@ def test_first_violation_chunking_consistent():
         ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
-@pytest.mark.parametrize("whole_system", [True, False], ids=["vector", "scalar"])
-def test_not_proven_summary_is_check_condition_at_the_witness(whole_system):
+@pytest.mark.parametrize("whole_system", [True, False], ids=["analyze", "analyze_task"])
+def test_not_proven_lhs_rhs_are_check_condition_at_the_witness(whole_system):
     # NotProven's witness is the dense scan's first violation, whether the
     # outcome comes from analyze's per-task tuple or from analyze_task on
-    # one task, and its summary is check_condition's there.
+    # one task, and its lhs and rhs are check_condition's there.
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
@@ -690,15 +710,33 @@ def test_not_proven_summary_is_check_condition_at_the_witness(whole_system):
                     witness = outcome.witness_delta
                     assert dense_first_violation(
                         ts, k, ts.tasks[k].deadline, witness, config) == witness
-                    assert outcome.summary == check_condition(ts, k, witness, config)[1]
-                    assert_int_summary(outcome.summary)
+                    assert_check_condition_at_the_witness(ts, config, outcome)
     assert seen >= 100
 
 
-def assert_int_summary(summary: InterferenceSummary) -> None:
-    values = (summary.no_carry_in + summary.with_carry_in + summary.carry_in_extra
-              + (summary.carry_in_bound, summary.lhs, summary.rhs))
-    assert all(type(v) is int for v in values)
+def test_verdicts_never_call_check_condition(monkeypatch):
+    # The scan alone decides every verdict and reports lhs and rhs.
+    rng = random.Random(18)
+    systems = [two_task_system(), late_violation_system(1000)]
+    systems += [random_system(rng) for _ in range(40)]
+    runs = []
+
+    def refuse(*args):
+        raise AssertionError("check_condition called")
+
+    monkeypatch.setattr(analysis, "check_condition", refuse)
+    for ts in systems:
+        for config in ALL_CONFIGS:
+            verdict = analyze(ts, config)
+            assert tuple(analyze_task(ts, k, config) for k in range(ts.n)) == verdict.per_task
+            assert system_outcome(ts, config) == verdict.outcome_class
+            runs.append((ts, config, verdict))
+    monkeypatch.undo()
+    not_proven = [(ts, config, o) for ts, config, verdict in runs
+                  for o in verdict.per_task if isinstance(o, NotProven)]
+    for ts, config, outcome in not_proven:
+        assert_check_condition_at_the_witness(ts, config, outcome)
+    assert len(not_proven) >= 50
 
 
 def past_int64(ts: TaskSystem, hi: int) -> bool:
@@ -717,23 +755,24 @@ def test_scan_past_int64_matches_dense_scan(period):
     lo, hi = 2 * period - 150, 2 * period + 20
     assert past_int64(ts, hi)
     for config in ALL_CONFIGS:
-        assert _first_violation(ts, 0, lo, hi, config) == dense_first_violation(
+        assert scan_witness(ts, 0, lo, hi, config) == dense_first_violation(
             ts, 0, lo, hi, config
         )
-    assert _first_violation(ts, 0, lo, hi, ORIGINAL) == 2 * period
+    assert scan_witness(ts, 0, lo, hi, ORIGINAL) == 2 * period
     # The interval is undefined; strict refutes at the first window.
-    outcome = analyze_task(ts, 0, replace(STRICT, delta_cap=period + 100))
+    config = replace(STRICT, delta_cap=period + 100)
+    outcome = analyze_task(ts, 0, config)
     assert outcome.witness_delta == period
-    assert_int_summary(outcome.summary)
+    assert_check_condition_at_the_witness(ts, config, outcome)
 
 
-def test_period_past_int64_in_a_short_scan_uses_object_arrays():
+def test_period_past_int64_in_a_short_scan_matches_dense_scan():
     # Every demand value is small, but the period itself does not fit int64.
     ts = TaskSystem(1, (GangTask(0, 1, 5, 100, 10**19), GangTask(1, 1, 50, 60, 100)))
     assert past_int64(ts, 151)
     assert analyze_task(ts, 1, STRICT) == Certified(task_index=1, scanned_up_to=151)
     for config in ALL_CONFIGS:
-        assert _first_violation(ts, 1, 60, 151, config) == dense_first_violation(
+        assert scan_witness(ts, 1, 60, 151, config) == dense_first_violation(
             ts, 1, 60, 151, config
         )
 
@@ -755,18 +794,19 @@ def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
         hi = lo + 100
         wide += past_int64(ts, hi)
         for config in ALL_CONFIGS:
-            got = _first_violation(ts, k, lo, hi, config)
+            got = scan_witness(ts, k, lo, hi, config)
             assert got == dense_first_violation(ts, k, lo, hi, config)
             seen += got is not None
             # Each task's own scan; refutation scans stop at D_j + 100.
             for j, task in enumerate(ts.tasks):
+                capped = replace(config, delta_cap=task.deadline + 100)
                 try:
-                    outcome = analyze_task(ts, j, replace(config, delta_cap=task.deadline + 100))
+                    outcome = analyze_task(ts, j, capped)
                 except ScanGuardError:
                     continue
                 if isinstance(outcome, NotProven):
                     not_proven += 1
-                    assert_int_summary(outcome.summary)
+                    assert_check_condition_at_the_witness(ts, capped, outcome)
     assert wide >= 20 and seen >= 20 and not_proven >= 10
 
 
@@ -783,7 +823,7 @@ def test_first_violation_at_block_edges_matches_dense_scan(offset):
         AnalysisConfig(variant=Variant.ORIGINAL,
                        carry_in_strategy=CarryInStrategy.ALL_TASKS),
     ):
-        assert _first_violation(ts, 0, lo, hi, config) == dense_first_violation(
+        assert scan_witness(ts, 0, lo, hi, config) == dense_first_violation(
             ts, 0, lo, hi, config
         )
 
@@ -824,7 +864,7 @@ def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
-    assert _first_violation(ts, 0, period, period + 10**5, STRICT) == period
+    assert _first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
     assert points == [period]
 
 

@@ -1,13 +1,16 @@
 """The public names of gangsched, and the ones the benchmark harness uses."""
 
+from dataclasses import fields
+
 import gangsched
 from gangsched import analysis, cli, demand, generator, model, simulator
 
 # Removed: the scalar helpers folded into check_condition, three names
 # that only tests used, the numpy block scan's evaluator and sizes, the
-# generator's redraw limit (every draw is valid) and the per-task scan
-# range (every range now comes from one bound table per system) and the
-# horizon cut of miss-only simulations (first_miss makes it itself).
+# generator's redraw limit (every draw is valid), the per-task scan
+# range (every range now comes from one bound table per system), the
+# horizon cut of miss-only simulations (first_miss makes it itself) and
+# check_no_miss, which only asked whether first_miss(ts) is None.
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -26,6 +29,7 @@ DELETED = (
     "_MAX_REDRAWS",
     "_scan_range",
     "miss_horizon",
+    "check_no_miss",
 )
 
 
@@ -52,3 +56,9 @@ def test_names_the_benchmark_harness_uses_resolve():
         assert callable(getattr(cli, name)), name
     for name in ("GangTask", "TaskSystem", "parse_task_system"):
         assert callable(getattr(model, name)), name
+
+
+def test_not_proven_holds_what_the_scan_found():
+    # The per-task breakdown at the witness is check_condition's, on demand.
+    assert [f.name for f in fields(analysis.NotProven)] == [
+        "task_index", "witness_delta", "lhs", "rhs"]

@@ -294,6 +294,26 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
         0, f"{3 * cli.CSV_CHUNK_SLOTS}\n", "")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_simulate_into_a_closed_pipe_exits_1_with_no_error_line(tmp_path, unbuffered):
+    # `simulate ... | head -1`: the reader closes the pipe after one line,
+    # long before the megabytes of rows are written.
+    path = tmp_path / "dense.txt"
+    path.write_text("m 4\ntask 1 1 10 10\ntask 2 3 17 20\ntask 1 2 30 31\ntask 3 5 70 100\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with subprocess.Popen(
+        [sys.executable, "-m", "gangsched", "simulate", "--input", str(path),
+         "--horizon", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == "slot,task,processor\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (1, "")
+
+
 # --- experiment -------------------------------------------------------------
 
 def test_experiment_csv_shape_and_determinism(tmp_path):

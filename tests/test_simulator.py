@@ -9,7 +9,6 @@ from gangsched import cli, simulator
 from gangsched.model import GangTask, TaskSystem, print_task_system
 from gangsched.simulator import (
     HorizonOverflowError,
-    check_no_miss,
     first_miss,
     hyperperiod,
     simulate_synchronous,
@@ -77,7 +76,7 @@ def test_counterexample_runs_late_when_continuing():
 
 
 def test_counterexample_not_schedulable():
-    assert check_no_miss(two_task_system()) is False
+    assert first_miss(two_task_system()) is not None
 
 
 # --- simple schedules ---------------------------------------------------------
@@ -104,12 +103,12 @@ def test_saturating_unit_tasks_stay_pinned():
     assert trace.first_miss is None
     for slot in trace.slots:
         assert slot == tuple((i, (i,)) for i in range(m))
-    assert check_no_miss(ts) is True
+    assert first_miss(ts) is None
 
 
 def test_idle_task_has_no_miss():
     ts = TaskSystem(1, (GangTask(0, 1, 1, 10, 10),))
-    assert check_no_miss(ts) is True
+    assert first_miss(ts) is None
 
 
 def test_zero_horizon_trace_is_empty():
@@ -353,7 +352,7 @@ def test_miss_only_callers_build_no_trace(monkeypatch, tmp_path):
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [row[6] for row in rows] == ["0", "0"]  # every trial was simulated
     assert cli.main(["simulate", "--input", str(source), "--no-trace", "--out", str(out)]) == 2
-    assert check_no_miss(two_task_system()) is False
+    assert first_miss(two_task_system()) is not None
     assert built == []
     assert cli.main(["simulate", "--input", str(source), "--out", str(out)]) == 2
     assert len(built) == 1
