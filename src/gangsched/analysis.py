@@ -343,33 +343,23 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
 
 
 def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
-    """analyze(ts, config).outcome_class, scanning only the tasks that
-    decide it; raises what analyze raises.
+    """analyze(ts, config).outcome_class from _task_outcome on only the
+    tasks that decide it; raises what analyze raises.
 
-    Relies on analyze's per-task outcomes being independent of order,
-    and on the dominance order Inapplicable > NotProven > Certified of
-    outcome_class.  Every task's scan range is taken first, in task
-    order, so that a range over SCAN_GUARD raises for the same task as
-    in analyze.  A task with an undefined scan interval then decides the
-    class: under original it is Inapplicable with no scan; under strict
-    a clean refutation scan makes the system inapplicable, and when all
-    such scans are refuted it is not proven.  With no such task, the
-    first violated scan makes the system not proven and clean scans of
-    every task make it schedulable.
+    Every task's scan range is taken first, as in analyze, so that a
+    range over SCAN_GUARD raises for the same task.  Only a task with an
+    undefined scan interval can be Inapplicable, and it is never
+    Certified, so when there are such tasks only they are visited;
+    otherwise the first NotProven task decides the class.
     """
     ranges = _scan_ranges(ts, config, range(ts.n))
-
-    def violated(k: int) -> bool:
-        return _first_violation(ts, k, ts.tasks[k].deadline, ranges[k][1], config) is not None
-
     undefined = [k for k, ((_, _, denominator), _) in enumerate(ranges) if denominator <= 0]
+    outcomes = (_task_outcome(ts, k, *ranges[k], config) for k in undefined or range(ts.n))
     if undefined:
-        if config.variant is Variant.ORIGINAL or not all(map(violated, undefined)):
-            return SYSTEM_INAPPLICABLE
-        return SYSTEM_NOT_PROVEN
-    if any(map(violated, range(ts.n))):
-        return SYSTEM_NOT_PROVEN
-    return SYSTEM_SCHEDULABLE
+        return (SYSTEM_INAPPLICABLE if any(isinstance(o, Inapplicable) for o in outcomes)
+                else SYSTEM_NOT_PROVEN)
+    return (SYSTEM_NOT_PROVEN if any(isinstance(o, NotProven) for o in outcomes)
+            else SYSTEM_SCHEDULABLE)
 
 
 # Refuse-to-run guard: a near-zero positive denominator can demand an

@@ -36,6 +36,7 @@ from .analysis import (
     SYSTEM_NOT_PROVEN,
     SYSTEM_SCHEDULABLE,
     ScanGuardError,
+    TaskOutcome,
     Variant,
     analyze,
     analyze_task,
@@ -59,6 +60,9 @@ _OUTCOME_EXIT = {
     SYSTEM_NOT_PROVEN: EXIT_NOT_PROVEN,
     SYSTEM_INAPPLICABLE: EXIT_INAPPLICABLE,
 }
+
+# The "kind" of a task outcome in JSON.
+_OUTCOME_KIND = {Certified: "certified", NotProven: "not_proven", Inapplicable: "inapplicable"}
 
 EXPERIMENT_HEADER = (
     "utilization,trials,certified,not_proven,inapplicable,"
@@ -234,9 +238,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     expect("scan-interval denominator", bound, NoDeltaBound(Fraction(-1)))
     expect("original verdict", verdict_orig,
            Inapplicable(task_index=1, denominator=Fraction(-1), scanned_up_to=None))
-    expect("strict verdict kind", type(verdict_strict).__name__, "NotProven")
-    if isinstance(verdict_strict, NotProven):
-        expect("strict witness delta", verdict_strict.witness_delta, 2)
+    expect("strict verdict", verdict_strict, NotProven(1, 2, 2, 2))
 
     if args.json:
         payload = {
@@ -249,8 +251,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
                 "task": 1,
                 "strategy": "top",
                 "applicable": isinstance(bound, DeltaBound),
-                "denominator": str(bound.denominator)
-                if isinstance(bound, NoDeltaBound) else None,
+                "denominator": bound.denominator if isinstance(bound, NoDeltaBound) else None,
             },
             "verdicts": {
                 "original": _outcome_json(verdict_orig),
@@ -259,7 +260,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             "ok": not problems,
             "problems": problems,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=str))
         return EXIT_OK if not problems else EXIT_INPUT_ERROR
 
     print("counterexample task system (3 processors):")
@@ -319,7 +320,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "outcome": verdict.outcome_class,
             "schedulable": verdict.schedulable,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=str))
     else:
         print(f"variant={config.variant.value} carry-in={config.carry_in_strategy.value}")
         for outcome in verdict.per_task:
@@ -350,29 +351,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _csv_chunks(runs: Iterable[Run]) -> Iterator[str]:
-    """The CSV rows of `runs`, in pieces of at most CSV_CHUNK_SLOTS slots.
+    """The CSV rows of `runs`, in pieces of at most CSV_CHUNK_SLOTS slots,
+    one or more per run.
 
     Every slot of a run prints the same rows after its slot number, so a
     slot is one `str(slot).join` over them.  Slots 10q..10q+9 all begin
     with `str(q)` (nothing for q = 0) and one digit, so a whole decade is
     one `str(q).join` over ten rows per allocated processor.
     """
-    parts: list[str] = []
-    room = CSV_CHUNK_SLOTS
     for start, end, allocation in runs:
         suffixes = [f",{task},{proc}\n" for task, procs in allocation for proc in procs]
-        if not suffixes:
-            continue
-        while start < end:
-            stop = min(end, start + room)
-            parts += _slot_rows(start, stop, suffixes)
-            room -= stop - start
-            start = stop
-            if not room:
-                yield "".join(parts)
-                parts, room = [], CSV_CHUNK_SLOTS
-    if parts:
-        yield "".join(parts)
+        if suffixes:
+            for first in range(start, end, CSV_CHUNK_SLOTS):
+                yield "".join(_slot_rows(first, min(end, first + CSV_CHUNK_SLOTS), suffixes))
 
 
 def _slot_rows(start: int, stop: int, suffixes: list[str]) -> list[str]:
@@ -490,44 +481,22 @@ def _write(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _outcome_text(outcome) -> str:
+def _outcome_text(outcome: TaskOutcome) -> str:
     if isinstance(outcome, Certified):
         return f"Certified (windows scanned up to {outcome.scanned_up_to})"
     if isinstance(outcome, NotProven):
         return (f"NotProven (witness delta={outcome.witness_delta}: "
                 f"lhs {outcome.lhs} vs rhs {outcome.rhs})")
-    if isinstance(outcome, Inapplicable):
-        if outcome.scanned_up_to is None:
-            return (f"Inapplicable (scan-interval denominator {outcome.denominator}; "
-                    f"published test undefined here)")
-        return (f"Inapplicable (scan-interval denominator {outcome.denominator}; "
-                f"no violation scanning windows up to {outcome.scanned_up_to})")
-    raise TypeError(f"unknown outcome {outcome!r}")
+    scan = ("published test undefined here" if outcome.scanned_up_to is None
+            else f"no violation scanning windows up to {outcome.scanned_up_to}")
+    return f"Inapplicable (scan-interval denominator {outcome.denominator}; {scan})"
 
 
-def _outcome_json(outcome) -> dict:
-    if isinstance(outcome, Certified):
-        return {
-            "task": outcome.task_index,
-            "kind": "certified",
-            "scanned_up_to": outcome.scanned_up_to,
-        }
-    if isinstance(outcome, NotProven):
-        return {
-            "task": outcome.task_index,
-            "kind": "not_proven",
-            "witness_delta": outcome.witness_delta,
-            "lhs": outcome.lhs,
-            "rhs": outcome.rhs,
-        }
-    if isinstance(outcome, Inapplicable):
-        return {
-            "task": outcome.task_index,
-            "kind": "inapplicable",
-            "denominator": str(outcome.denominator),
-            "scanned_up_to": outcome.scanned_up_to,
-        }
-    raise TypeError(f"unknown outcome {outcome!r}")
+def _outcome_json(outcome: TaskOutcome) -> dict:
+    """The outcome's fields after its task and kind; a Fraction is left to
+    json.dumps(default=str)."""
+    fields = asdict(outcome)
+    return {"task": fields.pop("task_index"), "kind": _OUTCOME_KIND[type(outcome)], **fields}
 
 
 def _system_json(ts: TaskSystem) -> dict:

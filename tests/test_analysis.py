@@ -811,7 +811,7 @@ def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
 
 
 @pytest.mark.parametrize("offset", [0, 63, 64, 65, 191])
-def test_first_violation_at_block_edges_matches_dense_scan(offset):
+def test_first_violation_offset_from_the_scan_start_matches_dense_scan(offset):
     period = 1000
     ts = late_violation_system(period)
     lo = 2 * period - offset

@@ -8,14 +8,19 @@ import resource
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gangsched import cli
-from gangsched.analysis import analyze
+from gangsched.analysis import Certified, Inapplicable, NotProven, analyze
+from gangsched.model import print_task_system
+
+from test_analysis import ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
@@ -132,6 +137,37 @@ def test_analyze_scan_over_guard_is_a_one_line_error(tmp_path):
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "exceeds guard" in lines[0]
+
+
+OUTCOME_TYPES = {"certified": Certified, "not_proven": NotProven, "inapplicable": Inapplicable}
+
+
+def outcome_from_json(record: dict):
+    """The task outcome an `analyze --json` record describes."""
+    fields = dict(record)
+    kind, fields["task_index"] = fields.pop("kind"), fields.pop("task")
+    if "denominator" in fields:
+        fields["denominator"] = Fraction(fields["denominator"])
+    return OUTCOME_TYPES[kind](**fields)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(outcome_systems(), st.one_of(st.none(), st.integers(1, 30)))
+@example(REFUTED_THEN_CLEAN, 4)  # denominator -13/14
+def test_analyze_json_rebuilds_the_outcomes_of_analyze(tmp_path, ts, delta_cap):
+    path = tmp_path / "ts.txt"
+    path.write_text(print_task_system(ts))
+    for config in ALL_CONFIGS:
+        config = replace(config, delta_cap=delta_cap)
+        cap = () if delta_cap is None else ("--delta-cap", str(delta_cap))
+        code, out, err = main_in_process(
+            "analyze", "--input", str(path), "--variant", config.variant.value,
+            "--carry-in", config.carry_in_strategy.value, *cap, "--json")
+        verdict = analyze(ts, config)
+        payload = json.loads(out)
+        assert [outcome_from_json(r) for r in payload["tasks"]] == list(verdict.per_task)
+        assert (code, err) == (cli._OUTCOME_EXIT[verdict.outcome_class], "")
 
 
 # --- simulate ---------------------------------------------------------------
@@ -536,6 +572,9 @@ GOLDEN_FILES = {
     "m5.txt": "m 5\ntask 4 1 1 3\ntask 2 1 1 2\n",
     "clean.txt": "m 3\ntask 1 1 2 2\ntask 2 1 3 3\n",
     "late.txt": "m 1\ntask 1 1 1 1\ntask 1 1 2 2\n",
+    # test_analysis.REFUTED_THEN_CLEAN: both scan intervals are undefined,
+    # with denominator -13/14.
+    "refuted.txt": "m 4\ntask 3 3 4 4\ntask 3 5 6 7\n",
 }
 
 
@@ -548,6 +587,11 @@ def golden_commands():
                 for json_flag in ((), ("--json",)):
                     yield ("analyze", "--input", name, "--variant", variant,
                            "--carry-in", carry_in, *json_flag)
+    # Under strict with cap 4 task 0 is refuted at 4 and task 1's scan is
+    # clean; under original neither is scanned.
+    for flags in (("--delta-cap", "4"), ("--variant", "original")):
+        for json_flag in ((), ("--json",)):
+            yield ("analyze", "--input", "refuted.txt", *flags, *json_flag)
     for name in ("cx.txt", "m5.txt", "clean.txt", "late.txt"):
         yield ("simulate", "--input", name)
         for flags in ((), ("--no-trace",), ("--continue-after-miss",),
@@ -616,6 +660,10 @@ GOLDEN = {
     "analyze --input m5.txt --variant strict --carry-in top --json": "061680d5a3cf0f1b",
     "analyze --input m5.txt --variant strict --carry-in all": "8f95f41ad4387efd",
     "analyze --input m5.txt --variant strict --carry-in all --json": "f50afe7ee9da0d22",
+    "analyze --input refuted.txt --delta-cap 4": "1821ae8b531b1aee",
+    "analyze --input refuted.txt --delta-cap 4 --json": "153cb1db38437a43",
+    "analyze --input refuted.txt --variant original": "7b1c98fbea480107",
+    "analyze --input refuted.txt --variant original --json": "f4197a2c5ff6f944",
     "simulate --input cx.txt": "a842d8535828dbd7",
     "simulate --input cx.txt --horizon 50": "a842d8535828dbd7",
     "simulate --input cx.txt --horizon 50 --no-trace": "022a3a45d70d04bb",
