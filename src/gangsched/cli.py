@@ -15,6 +15,7 @@ present.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -110,6 +111,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+# Built on the first `main` call, not at import, and reused for every later
+# call in the process.  parse_args keeps no state between calls; the
+# `func` defaults bind the cmd_* functions once, here, so replacing a
+# cmd_* attribute of this module after the first call does not reach
+# `main` (no test does).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gangsched",

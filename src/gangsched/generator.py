@@ -19,10 +19,12 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import GangTask, TaskSystem, validate
+
+if TYPE_CHECKING:  # numpy is imported where a draw is made, not with the package
+    import numpy as np
 
 
 class GenerationError(RuntimeError):
@@ -68,6 +70,8 @@ def rand_fixed_sum(
 ) -> np.ndarray:
     """One vector x of length n with sum(x) == total and lo <= x_i <= hi,
     uniform over the constrained simplex."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if hi < lo:
@@ -83,6 +87,8 @@ def rand_fixed_sum(
 
 def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
     """Stafford's construction on [0, 1]^n with coordinate sum s."""
+    import numpy as np
+
     if n == 1:
         return np.full(1, s)
 
@@ -109,14 +115,14 @@ def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
 
 
 # Every trial of a sweep point shares (n, s); a sweep walks its points in
-# order, and one table holds O(n^2) floats.
+# order, and one table holds O(n * (k + 1)) floats.
 @functools.lru_cache(maxsize=2)
 def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ...], ...]]:
     """The simplex-walk inputs of _unit_fixed_sum for n >= 2: the integer
     part k of s, s clamped to [k, k + 1], and the drop-branch table t."""
     k = int(max(min(math.floor(s), n - 1), 0))
     s = max(min(s, float(k + 1)), float(k))
-    s1 = [s - (k - c) for c in range(n)]
+    s1 = [s - (k - c) for c in range(k + 1)]
     s2 = [(k + n - c) - s for c in range(n)]
 
     # w[c] (at level l) is proportional to the volume of the level-l slice
@@ -124,7 +130,9 @@ def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ..
     # is the union of a stay branch (same column one level down, factor s1)
     # and a drop branch (previous column, factor s2).  t[l-2][c] holds the
     # conditional probability of the drop branch, written two ways for
-    # numerical stability.  Rows of t are n wide and zero past column l-1,
+    # numerical stability.  The walk starts in column k and never rises,
+    # and a column depends only on itself and the column before it one
+    # level down, so rows of t are k + 1 wide, zero past column l-1,
     # where the walk may still look.
     tiny = sys.float_info.min
     w = [0.0, sys.float_info.max]
@@ -132,8 +140,8 @@ def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ..
     for i in range(2, n + 1):
         w.append(0.0)
         level = [0.0]
-        t_row = [0.0] * n
-        for c in range(i):
+        t_row = [0.0] * (k + 1)
+        for c in range(min(i, k + 1)):
             stay = w[c + 1] * s1[c] / i
             drop = w[c] * s2[n - i + c] / i
             level.append(stay + drop)
@@ -149,6 +157,8 @@ def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ..
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent deterministic stream for one (seed, trial) pair."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 

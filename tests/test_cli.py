@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gangsched import cli
 from gangsched.analysis import Certified, Inapplicable, NotProven, analyze
-from gangsched.model import print_task_system
+from gangsched.model import parse_task_system, print_task_system
 
 from test_analysis import ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems
 
@@ -561,6 +561,77 @@ def test_gen_rejects_a_zero_denominator_load(tmp_path):
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
     assert not out.exists()
+
+
+def test_gen_of_many_tasks_on_few_processors_runs_in_bounded_memory(tmp_path):
+    # 20,000 tasks at a total utilization of 0.2: the Stafford table needs
+    # one column per level, where an n-wide table would hold 4 * 10^8
+    # entries.  Run under a 1 GiB address-space limit, so that such a table
+    # fails fast instead of taking the machine's memory.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "gangsched", "gen", "--n", "20000", "--m", "2",
+         "--load", "0.1", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    path = tmp_path / "ts_0_0.txt"
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{path}\n", "")
+    text = path.read_text()
+    ts = parse_task_system(text)
+    assert (ts.processors, ts.n) == (2, 20000)
+    assert print_task_system(ts) == text
+
+
+# --- per-process cost -------------------------------------------------------
+
+def test_only_the_drawing_commands_import_numpy(cx_file):
+    # Only gen and experiment draw random numbers; the other commands run
+    # in a process that never loads numpy.
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import gangsched
+        from gangsched import cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(list(argv))
+
+        codes = [run("analyze", "--input", {cx_file!r}),
+                 run("simulate", "--input", {cx_file!r}, "--no-trace"),
+                 run("simulate", "--input", {cx_file!r}),
+                 run("counterexample")]
+        print(codes, "numpy" in sys.modules)
+        print(run("experiment", "--points", "1", "--trials", "1"), "numpy" in sys.modules)
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "[2, 2, 2, 0] False\n0 True\n", "")
+
+
+def test_the_cached_parser_gives_the_bytes_of_a_fresh_process(cx_file, capsys, monkeypatch):
+    # main builds its parser once per process: a usage error, a verdict and
+    # an experiment whose flags a previous call set otherwise must each
+    # print what a fresh `python -m gangsched` prints.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    cli._build_parser.cache_clear()
+    commands = [
+        ["analyze"],  # usage error: --input is required
+        ["analyze", "--input", cx_file, "--json"],
+        ["experiment", "--points", "2", "--trials", "3", "--variant", "original",
+         "--carry-in", "all", "--delta-cap", "9", "--seed", "4", "--deadline-mode", "implicit"],
+        ["experiment", "--points", "3", "--trials", "2"],
+    ]
+    for argv in commands:
+        try:
+            code = cli.main(argv)
+        except SystemExit as usage_error:
+            code = usage_error.code
+        fresh = run_cli(*argv)
+        assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # --- golden bytes -----------------------------------------------------------
