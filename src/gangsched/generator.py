@@ -9,11 +9,15 @@ implicit or uniformly constrained deadlines.
 
 Every draw is fully determined by (seed, trial); distinct trials use
 independently derived streams, so trial generation order never matters.
+A trial's stream is numpy's PCG64 seeded from SeedSequence([seed, trial]),
+and its draws are the ones numpy's Generator would make, replayed in
+Python on blocks of raw words rather than one numpy call per draw.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -69,9 +73,22 @@ def rand_fixed_sum(
     n: int, total: float, lo: float, hi: float, rng: np.random.Generator
 ) -> np.ndarray:
     """One vector x of length n with sum(x) == total and lo <= x_i <= hi,
-    uniform over the constrained simplex."""
+    uniform over the constrained simplex.
+
+    rng's bit generator must give 64-bit words (PCG64, PCG64DXSM, SFC64
+    or Philox; not MT19937).  Its stream goes on where numpy's own calls
+    for these draws would leave it, provided no other thread draws from
+    rng during the call."""
     import numpy as np
 
+    draws = _Draws(rng.bit_generator)
+    x = _fixed_sum(n, total, lo, hi, draws)
+    draws.hand_back()
+    return np.array(x)
+
+
+def _fixed_sum(n: int, total: float, lo: float, hi: float, draws: _Draws) -> list:
+    """rand_fixed_sum's vector as a list, drawn from draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if hi < lo:
@@ -79,31 +96,34 @@ def rand_fixed_sum(
     if not (n * lo - 1e-12 <= total <= n * hi + 1e-12):
         raise ValueError(f"sum {total} outside feasible range [{n * lo}, {n * hi}]")
     if hi == lo:
-        return np.full(n, lo)
+        return [lo] * n
     unit_sum = (total - n * lo) / (hi - lo)
-    unit = _unit_fixed_sum(n, min(max(unit_sum, 0.0), float(n)), rng)
-    return lo + (hi - lo) * unit
+    unit = _unit_fixed_sum(n, min(max(unit_sum, 0.0), float(n)), draws)
+    return [lo + (hi - lo) * u for u in unit]
 
 
-def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
+def _unit_fixed_sum(n: int, s: float, draws: _Draws) -> list:
     """Stafford's construction on [0, 1]^n with coordinate sum s."""
-    import numpy as np
-
     if n == 1:
-        return np.full(1, s)
+        return [s]
+    import numpy as np
 
     k, s, t = _stafford_table(n, s)
 
     x = [0.0] * n
-    rt = rng.uniform(size=n - 1).tolist()  # simplex-type decisions
-    rs = rng.uniform(size=n - 1)  # position inside the simplex
+    rt = draws.doubles(n - 1)  # simplex-type decisions
+    rs = np.array(draws.doubles(n - 1))  # position inside the simplex
     total = s
     j = k + 1
     accum = 0.0
     scale = 1.0
     for i in range(n - 1, 0, -1):
         e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
-        # numpy power on one element: Python's ** differs in the last bit in ~1/4 of draws
+        # The root must stay numpy's power on a one-element array: Python's
+        # ** differs in the last bit in about 1/4 of draws, and one
+        # vectorised power over all n - 1 roots differs from the
+        # per-element call too (in 201 of 200,000 random pairs with numpy's
+        # AVX512 dispatch, 4 without), so either would change the draws.
         sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
         accum = accum + (1.0 - sx) * scale * total / (i + 1)
         scale = sx * scale
@@ -111,7 +131,8 @@ def _unit_fixed_sum(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
         total = total - e
         j = j - int(e)
     x[n - 1] = accum + scale * total
-    return np.array(x)[rng.permutation(n)]
+    draws.shuffle(x)
+    return x
 
 
 # Every trial of a sweep point shares (n, s); a sweep walks its points in
@@ -155,43 +176,139 @@ def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ..
     return k, s, tuple(t)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent deterministic stream for one (seed, trial) pair."""
-    import numpy as np
+class _Draws:
+    """numpy Generator draws, replayed in Python on a bit generator's raw
+    64-bit words (PCG64's, in generate_task_system).
 
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    The transforms are numpy's (Lemire's method for bounded integers):
+    - a double takes a whole word w and is (w >> 11) * 2**-53;
+    - a 32-bit request takes the low half of a word and keeps the high
+      half for the next 32-bit request; doubles leave it alone;
+    - integers(lo, hi) draws on 32-bit halves while the closed span
+      hi - 1 - lo is below 2**32 - 1, takes one half as drawn at 2**32 - 1
+      and whole words above, and rejects as numpy does;
+    - a shuffle (and so permutation(n)) is Fisher-Yates from n - 1 down
+      to 1, each index drawn by masked rejection on 32-bit halves.
+
+    With a block size, words are fetched that many at a time and those
+    left over are dropped, which only a stream of its own may do.  With
+    none, each request fetches just the words it takes, and the pending
+    half lives in the bit generator's state: read here, written back by
+    hand_back(), so that the caller's stream goes on where numpy's calls
+    would have left it.
+    """
+
+    __slots__ = ("_bitgen", "_stream", "_word", "_has_half", "_half")
+
+    def __init__(self, bitgen, block: int = 0):
+        self._bitgen = bitgen
+        if block:
+            blocks = iter(lambda: bitgen.random_raw(block).tolist(), None)
+            self._stream = itertools.chain.from_iterable(blocks)
+            self._word = self._stream.__next__
+            self._has_half, self._half = False, 0
+        else:
+            self._stream = None
+            self._word = bitgen.random_raw
+            state = bitgen.state
+            if "has_uint32" not in state:  # MT19937 draws 32-bit words
+                raise TypeError(f"need a bit generator of 64-bit words, such as PCG64; "
+                                f"got {type(bitgen).__name__}")
+            self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
+
+    def hand_back(self) -> None:
+        """Write the pending half back into the bit generator's state."""
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+    def _half_word(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._word()
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def doubles(self, count: int) -> list[float]:
+        """count draws of uniform()."""
+        if self._stream is None:
+            words = self._bitgen.random_raw(count).tolist()
+        else:
+            words = itertools.islice(self._stream, count)
+        return [(w >> 11) * 2**-53 for w in words]
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self._word() >> 11) * 2**-53)
+
+    def integers(self, low: int, high: int) -> int:
+        """integers(low, high) with the default int64 dtype, for
+        0 <= low < high."""
+        if high > 2**63:
+            raise ValueError("high is out of bounds for int64")
+        span = high - 1 - low
+        if 0 < span < 0xFFFFFFFF:  # Lemire's method on 32-bit halves
+            excl = span + 1
+            product = self._half_word() * excl
+            if product & 0xFFFFFFFF < excl:
+                threshold = (2**32 - excl) % excl
+                while product & 0xFFFFFFFF < threshold:
+                    product = self._half_word() * excl
+            return low + (product >> 32)
+        if span == 0:
+            return low
+        if span == 0xFFFFFFFF:
+            return low + self._half_word()
+        excl = span + 1  # Lemire's method on whole words
+        product = self._word() * excl
+        if product & (2**64 - 1) < excl:
+            threshold = (2**64 - excl) % excl
+            while product & (2**64 - 1) < threshold:
+                product = self._word() * excl
+        return low + (product >> 64)
+
+    def shuffle(self, items: list) -> None:
+        """shuffle(items) in place, for len(items) <= 2**32: the draws of
+        permutation(n), and items[permutation(n)] as the result."""
+        half_word = self._half_word
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = half_word() & mask
+            while j > i:
+                j = half_word() & mask
+            items[i], items[j] = items[j], items[i]
 
 
 def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     """Draw one valid task system; identical for identical (seed, trial)."""
-    rng = trial_rng(params.seed, trial)
+    from numpy.random import PCG64, SeedSequence
+
+    # A system takes 4 to 4.6 words a task on average (two doubles for the
+    # walk, a period, and halves for the shuffle, the width and the
+    # deadline), so one block usually holds them all.
+    draws = _Draws(PCG64(SeedSequence([params.seed, trial])), block=5 * params.n + 8)
     target = float(Fraction(params.target_load) * params.m)
     try:
-        utils = rand_fixed_sum(params.n, target, 0.0, 1.0, rng)
+        utils = _fixed_sum(params.n, target, 0.0, 1.0, draws)
     except ValueError as err:
         raise GenerationError(str(err)) from err
 
+    t_min, t_max = params.t_min, params.t_max
+    log_min, log_max = math.log(t_min), math.log(t_max)
+    constrained = params.deadline_mode is DeadlineMode.CONSTRAINED
+    integers, uniform = draws.integers, draws.uniform
     tasks: list[GangTask] = []
-    for i in range(params.n):
+    for i, util in enumerate(utils):
         # util <= 1 keeps wcet <= period, so every draw is valid.
-        util = min(max(float(utils[i]), 0.0), 1.0)  # strip float dust
-        width = int(rng.integers(1, params.m + 1))
-        period = _log_uniform_int(rng, params.t_min, params.t_max)
+        util = min(max(util, 0.0), 1.0)  # strip float dust
+        width = integers(1, params.m + 1)
+        period = t_min
+        if t_min < t_max:  # log-uniform
+            period = round(math.exp(uniform(log_min, log_max)))
+            period = min(max(period, t_min), t_max)
         wcet = max(1, round(util * period))  # round half to even
-        if params.deadline_mode is DeadlineMode.IMPLICIT:
-            deadline = period
-        else:
-            deadline = int(rng.integers(wcet, period + 1))
-        tasks.append(
-            GangTask(index=i, width=width, wcet=wcet, deadline=deadline, period=period)
-        )
+        deadline = integers(wcet, period + 1) if constrained else period
+        tasks.append(GangTask(i, width, wcet, deadline, period))
     ts = TaskSystem(processors=params.m, tasks=tuple(tasks))
     validate(ts)
     return ts
-
-
-def _log_uniform_int(rng: np.random.Generator, lo: int, hi: int) -> int:
-    if lo == hi:
-        return lo
-    value = round(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-    return min(max(value, lo), hi)

@@ -5,11 +5,13 @@ enumerating release patterns and sliding windows over an explicit
 execution timeline.  The scan references keep the plain forms that the
 optimized analysis code replaced: the scan bound in Fraction arithmetic
 and the window scan as one check_condition call per window length.  The
-schedule reference steps the simulator's rules one slot at a time.
+schedule reference steps the simulator's rules one slot at a time.  The
+generator reference draws through numpy's Generator, one call per draw.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -22,7 +24,8 @@ from gangsched.analysis import (
     NoDeltaBound,
     check_condition,
 )
-from gangsched.model import GangTask, TaskSystem
+from gangsched.generator import DeadlineMode, GenerationError, GenParams, _stafford_table
+from gangsched.model import GangTask, TaskSystem, validate
 
 
 def brute_hbf(task: GangTask, length: int) -> int:
@@ -154,3 +157,72 @@ def reference_trace(ts: TaskSystem, horizon: int, offsets=None):
                 j[3] -= 1
         slots.append(tuple(allocation))
     return tuple(slots), first_miss
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """numpy's stream for one (seed, trial) pair."""
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+
+def reference_fixed_sum(
+    n: int, total: float, lo: float, hi: float, rng: np.random.Generator
+) -> np.ndarray:
+    """rand_fixed_sum drawn through rng's numpy calls."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if hi < lo:
+        raise ValueError("need lo <= hi")
+    if not (n * lo - 1e-12 <= total <= n * hi + 1e-12):
+        raise ValueError(f"sum {total} outside feasible range [{n * lo}, {n * hi}]")
+    if hi == lo:
+        return np.full(n, lo)
+    unit_sum = (total - n * lo) / (hi - lo)
+    s = min(max(unit_sum, 0.0), float(n))
+    if n == 1:
+        return lo + (hi - lo) * np.full(1, s)
+    k, s, t = _stafford_table(n, s)
+    x = [0.0] * n
+    rt = rng.uniform(size=n - 1).tolist()
+    rs = rng.uniform(size=n - 1)
+    total = s
+    j = k + 1
+    accum = 0.0
+    scale = 1.0
+    for i in range(n - 1, 0, -1):
+        e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
+        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
+        accum = accum + (1.0 - sx) * scale * total / (i + 1)
+        scale = sx * scale
+        x[n - i - 1] = accum + scale * e
+        total = total - e
+        j = j - int(e)
+    x[n - 1] = accum + scale * total
+    return lo + (hi - lo) * np.array(x)[rng.permutation(n)]
+
+
+def reference_task_system(params: GenParams, trial: int) -> TaskSystem:
+    """generate_task_system drawn through numpy's Generator, one call per
+    draw, in the order the generator draws."""
+    rng = trial_rng(params.seed, trial)
+    target = float(Fraction(params.target_load) * params.m)
+    try:
+        utils = reference_fixed_sum(params.n, target, 0.0, 1.0, rng)
+    except ValueError as err:
+        raise GenerationError(str(err)) from err
+    tasks = []
+    for i in range(params.n):
+        util = min(max(float(utils[i]), 0.0), 1.0)
+        width = int(rng.integers(1, params.m + 1))
+        period = params.t_min
+        if params.t_min < params.t_max:
+            value = round(math.exp(rng.uniform(math.log(params.t_min), math.log(params.t_max))))
+            period = min(max(value, params.t_min), params.t_max)
+        wcet = max(1, round(util * period))
+        if params.deadline_mode is DeadlineMode.IMPLICIT:
+            deadline = period
+        else:
+            deadline = int(rng.integers(wcet, period + 1))
+        tasks.append(GangTask(index=i, width=width, wcet=wcet, deadline=deadline, period=period))
+    ts = TaskSystem(processors=params.m, tasks=tuple(tasks))
+    validate(ts)
+    return ts

@@ -9,8 +9,10 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # that only tests used, the numpy block scan's evaluator and sizes, the
 # generator's redraw limit (every draw is valid), the per-task scan
 # range (every range now comes from one bound table per system), the
-# horizon cut of miss-only simulations (first_miss makes it itself) and
-# check_no_miss, which only asked whether first_miss(ts) is None.
+# horizon cut of miss-only simulations (first_miss makes it itself),
+# check_no_miss, which only asked whether first_miss(ts) is None, and
+# trial_rng (the generator draws from raw PCG64 words; numpy's Generator
+# per trial is the reference in tests/oracles.py).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -30,6 +32,7 @@ DELETED = (
     "_scan_range",
     "miss_horizon",
     "check_no_miss",
+    "trial_rng",
 )
 
 

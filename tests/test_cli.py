@@ -563,6 +563,30 @@ def test_gen_rejects_a_zero_denominator_load(tmp_path):
     assert not out.exists()
 
 
+def test_gen_bounds_past_int64_end_in_numpys_error_line(tmp_path):
+    # The bounded draws keep numpy's int64 limit and message: a width bound
+    # of m = 2^63 fails at the first task.  At t-max 10^20 the first system
+    # draws its periods under 2^63 and is written; the second draws one
+    # above and ends the command.
+    out = tmp_path / "wide"
+    result = run_cli("gen", "--n", "2", "--m", str(2**63), "--load", f"1/{2**63}",
+                     "--out", str(out))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: high is out of bounds for int64\n")
+    assert list(out.iterdir()) == []
+
+    out = tmp_path / "long"
+    result = run_cli("gen", "--n", "2", "--m", "3", "--t-max", str(10**20), "--count", "2",
+                     "--seed", "0", "--out", str(out))
+    path = out / "ts_0_0.txt"
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, f"{path}\n", "error: high is out of bounds for int64\n")
+    assert [p.name for p in out.iterdir()] == ["ts_0_0.txt"]
+    assert path.read_text() == ("m 3\ntask 1 14 15 21\n"
+                                "task 3 1798106461860482816 2041704466431288882 "
+                                "2199662081066654208\n")
+
+
 def test_gen_of_many_tasks_on_few_processors_runs_in_bounded_memory(tmp_path):
     # 20,000 tasks at a total utilization of 0.2: the Stafford table needs
     # one column per level, where an n-wide table would hold 4 * 10^8

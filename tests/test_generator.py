@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from gangsched.generator import (
     _stafford_table,
     generate_task_system,
     rand_fixed_sum,
-    trial_rng,
 )
 from gangsched.model import validate
+
+from oracles import reference_fixed_sum, reference_task_system
 
 
 def test_single_element_is_forced():
@@ -74,7 +79,10 @@ def test_marginal_matches_rejection_sampling_oracle():
 
 # sha256 of the float64 bytes of every draw in the grid below, recorded from
 # the earlier (count, n) batch implementation of the sampler; a changed value,
-# RNG call or call order anywhere in the grid changes it.
+# RNG call or call order anywhere in the grid changes it.  The digest holds
+# only where numpy runs its float64 power on AVX512: the roots differ in the
+# last bit without that dispatch (NPY_DISABLE_CPU_FEATURES=X86_V4, or a CPU
+# without AVX512), and this test then fails.
 GOLDEN_GRID_SHA256 = "9ee32566da0fb0591e39c93f000388689d6f434e6747fd1847ffcf413494279c"
 
 
@@ -93,6 +101,126 @@ def test_draws_are_bit_identical_to_recorded_digest():
                     x = rand_fixed_sum(n, n * lo + (hi - lo) * u, lo, hi, rng)
                     digest.update(x.tobytes())
     assert digest.hexdigest() == GOLDEN_GRID_SHA256
+
+
+@pytest.mark.parametrize("before", [0, 1, 2, 5])
+def test_rand_fixed_sum_leaves_the_callers_stream_where_numpy_does(before):
+    # An odd number of earlier integers(0, 10) draws leaves a 32-bit half
+    # pending in the caller's bit generator; the shuffle may take it.
+    cases = [(1, 0.5, 0.0, 1.0), (2, 1.2, 0.0, 1.0), (4, 2.0, 0.0, 1.0), (7, 6.5, 0.0, 1.0),
+             (5, 12.0, 1.5, 3.0), (3, 1.5, 0.5, 0.5), (12, 3.3, 0.0, 1.0), (4, 4.5, 0.0, 1.0)]
+    for n, total, lo, hi in cases:
+        ours, numpys = np.random.default_rng(7 + n), np.random.default_rng(7 + n)
+        for rng in (ours, numpys):
+            rng.integers(0, 10, size=before)
+        results = []
+        for draw, rng in ((rand_fixed_sum, ours), (reference_fixed_sum, numpys)):
+            try:
+                x = draw(n, total, lo, hi, rng)
+                results.append((x.dtype, x.tobytes()))
+            except ValueError as err:
+                results.append(str(err))
+        assert results[0] == results[1], (n, total, lo, hi)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert ours.integers(0, 10, size=3).tolist() == numpys.integers(0, 10, size=3).tolist()
+        assert ours.uniform() == numpys.uniform()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.SFC64, np.random.Philox])
+def test_rand_fixed_sum_draws_from_every_64_bit_generator_as_numpy_does(bit_generator):
+    ours, numpys = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    for rng in (ours, numpys):
+        rng.integers(0, 10)
+    for n in range(1, 25):
+        x = rand_fixed_sum(n, 0.4 * n, 0.0, 1.0, ours)
+        assert x.tobytes() == reference_fixed_sum(n, 0.4 * n, 0.0, 1.0, numpys).tobytes()
+    assert ours.integers(0, 10, size=3).tolist() == numpys.integers(0, 10, size=3).tolist()
+    assert ours.uniform() == numpys.uniform()
+
+
+def test_rand_fixed_sum_refuses_a_32_bit_generator():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError, match="got MT19937"):
+        rand_fixed_sum(3, 1.5, 0.0, 1.0, rng)
+
+
+def generated(draw, params, trial):
+    """The system draw makes, or the type and message of its error."""
+    try:
+        return draw(params, trial)
+    except (GenerationError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+# (P, x): one task at the fixed period P with utilization (P - x) / P draws
+# its deadline with the closed span period - wcet = x.  The spans at and
+# around 2^32 switch numpy's bounded draw from 32-bit halves to whole words;
+# 2^31 and 2^61 make it reject about half and an eighth of the draws.
+DEADLINE_SPANS = [(2**41, x) for x in (0, 2**32 - 1, 2**32, 2**32 + 1, 2**40)] + [
+    (2**32, 2**31), (2**62, 2**61)]
+# m - 1 is the closed span of the width draw; m = 2^63 is past int64.
+WIDTH_BOUNDS = [1, 2**32, 2**32 + 1, 2**32 + 2, 2**40 + 1, 2**31 + 1, 2**62 + 1,
+                2**63 - 1, 2**63]
+
+
+def deadline_span_params(period, span):
+    return GenParams(n=1, m=1, target_load=Fraction(period - span, period),
+                     t_min=period, t_max=period, seed=3)
+
+
+def differential_params():
+    for seed in (0, 2**64 - 1):
+        for n, m in ((1, 1), (1, 4), (2, 1), (3, 2), (5, 8), (10, 6), (12, 16)):
+            for t_min, t_max in ((10, 1000), (7, 7), (1, 2**45)):
+                for mode in DeadlineMode:
+                    for j in range(1, 6):
+                        yield GenParams(n=n, m=m, target_load=Fraction(j, 5), t_min=t_min,
+                                        t_max=t_max, deadline_mode=mode, seed=seed)
+    for period, span in DEADLINE_SPANS:
+        yield deadline_span_params(period, span)
+    for m in WIDTH_BOUNDS:
+        yield GenParams(n=1, m=m, target_load=Fraction(1, m), seed=4)
+    # infeasible: a sum of 1.5 for a single task
+    yield GenParams(n=1, m=2, target_load=Fraction(3, 4), seed=5)
+
+
+def test_generated_systems_match_the_numpy_reference():
+    # Same TaskSystem, or the same error, as one numpy call per draw.
+    seen_errors = set()
+    for params in differential_params():
+        for trial in range(8):
+            ours = generated(generate_task_system, params, trial)
+            assert ours == generated(reference_task_system, params, trial), (params, trial)
+            if isinstance(ours, tuple):
+                seen_errors.add(ours)
+    assert {("GenerationError", "sum 1.5 outside feasible range [0.0, 1.0]"),
+            ("ValueError", "high is out of bounds for int64")} <= seen_errors
+    for period, span in DEADLINE_SPANS:  # the boundary systems reach their spans
+        (task,) = generate_task_system(deadline_span_params(period, span), 0).tasks
+        assert (task.period, task.period - task.wcet) == (period, span)
+
+
+def test_differential_and_cli_goldens_hold_without_avx512():
+    # numpy dispatches its float64 power to AVX512 where the CPU has it;
+    # rerun the differential test and the CLI goldens (gen and experiment
+    # among them) with that dispatch off, as on a CPU without AVX512.
+    from numpy._core import _multiarray_umath
+
+    if "X86_V4" not in getattr(_multiarray_umath, "__cpu_dispatch__", ()):
+        pytest.skip("numpy has no X86_V4 dispatch target here")
+    tests = Path(__file__).resolve().parent
+    script = ("import sys, pytest\n"
+              "from numpy._core._multiarray_umath import __cpu_features__\n"
+              "assert not __cpu_features__['X86_V4']\n"
+              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", script,
+         f"{tests / 'test_generator.py'}::test_generated_systems_match_the_numpy_reference",
+         f"{tests / 'test_cli.py'}::test_cli_bytes_match_the_golden_digests"],
+        capture_output=True, text=True, env=env, cwd=tests.parent, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "2 passed" in done.stdout
 
 
 def test_same_seed_and_trial_reproduce_system():
@@ -170,13 +298,9 @@ def test_invalid_params_rejected():
 
 
 def test_trial_streams_are_independent_of_generation_order():
-    a = trial_rng(9, 3).uniform()
-    trial_rng(9, 4).uniform()
-    b = trial_rng(9, 3).uniform()
-    assert a == b
-    # The cached Stafford tables do not depend on the order: two loads and
-    # two n, interleaved draw by draw, then grouped by (n, load), each
-    # from an empty cache.
+    # Each (seed, trial) draws from its own stream, and the cached Stafford
+    # tables do not depend on the order: two loads and two n, interleaved
+    # draw by draw, then grouped by (n, load), each from an empty cache.
     interleaved = [(n, load, trial) for trial in range(3) for n in (4, 9)
                    for load in (Fraction(1, 5), Fraction(3, 4))]
 
