@@ -18,13 +18,7 @@ from .analysis import (
     scan_upper_bound,
 )
 from .demand import hbf, hbf_prime
-from .generator import (
-    DeadlineMode,
-    GenParams,
-    GenerationError,
-    generate_task_system,
-    rand_fixed_sum,
-)
+from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import (
     GangTask,
     ParseError,
@@ -73,7 +67,6 @@ __all__ = [
     "hyperperiod",
     "parse_task_system",
     "print_task_system",
-    "rand_fixed_sum",
     "scan_upper_bound",
     "simulate_synchronous",
     "validate",

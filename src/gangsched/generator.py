@@ -23,12 +23,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .model import GangTask, TaskSystem, validate
-
-if TYPE_CHECKING:  # numpy is imported where a draw is made, not with the package
-    import numpy as np
 
 
 class GenerationError(RuntimeError):
@@ -69,41 +65,12 @@ class GenParams:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def rand_fixed_sum(
-    n: int, total: float, lo: float, hi: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One vector x of length n with sum(x) == total and lo <= x_i <= hi,
-    uniform over the constrained simplex.
-
-    rng's bit generator must give 64-bit words (PCG64, PCG64DXSM, SFC64
-    or Philox; not MT19937).  Its stream goes on where numpy's own calls
-    for these draws would leave it, provided no other thread draws from
-    rng during the call."""
-    import numpy as np
-
-    draws = _Draws(rng.bit_generator)
-    x = _fixed_sum(n, total, lo, hi, draws)
-    draws.hand_back()
-    return np.array(x)
-
-
-def _fixed_sum(n: int, total: float, lo: float, hi: float, draws: _Draws) -> list:
-    """rand_fixed_sum's vector as a list, drawn from draws."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    if not (n * lo - 1e-12 <= total <= n * hi + 1e-12):
-        raise ValueError(f"sum {total} outside feasible range [{n * lo}, {n * hi}]")
-    if hi == lo:
-        return [lo] * n
-    unit_sum = (total - n * lo) / (hi - lo)
-    unit = _unit_fixed_sum(n, min(max(unit_sum, 0.0), float(n)), draws)
-    return [lo + (hi - lo) * u for u in unit]
-
-
 def _unit_fixed_sum(n: int, s: float, draws: _Draws) -> list:
-    """Stafford's construction on [0, 1]^n with coordinate sum s."""
+    """One vector x of length n with sum(x) == s and 0 <= x_i <= 1, uniform
+    over that slice of the unit cube: Stafford's construction."""
+    if not (-1e-12 <= s <= n + 1e-12):
+        raise GenerationError(f"sum {s} outside feasible range [0.0, {float(n)}]")
+    s = min(max(s, 0.0), float(n))
     if n == 1:
         return [s]
     import numpy as np
@@ -190,37 +157,17 @@ class _Draws:
     - a shuffle (and so permutation(n)) is Fisher-Yates from n - 1 down
       to 1, each index drawn by masked rejection on 32-bit halves.
 
-    With a block size, words are fetched that many at a time and those
-    left over are dropped, which only a stream of its own may do.  With
-    none, each request fetches just the words it takes, and the pending
-    half lives in the bit generator's state: read here, written back by
-    hand_back(), so that the caller's stream goes on where numpy's calls
-    would have left it.
+    bitgen must be a fresh stream of this object's own: words are fetched
+    block at a time, and those left over are dropped.
     """
 
-    __slots__ = ("_bitgen", "_stream", "_word", "_has_half", "_half")
+    __slots__ = ("_stream", "_word", "_has_half", "_half")
 
-    def __init__(self, bitgen, block: int = 0):
-        self._bitgen = bitgen
-        if block:
-            blocks = iter(lambda: bitgen.random_raw(block).tolist(), None)
-            self._stream = itertools.chain.from_iterable(blocks)
-            self._word = self._stream.__next__
-            self._has_half, self._half = False, 0
-        else:
-            self._stream = None
-            self._word = bitgen.random_raw
-            state = bitgen.state
-            if "has_uint32" not in state:  # MT19937 draws 32-bit words
-                raise TypeError(f"need a bit generator of 64-bit words, such as PCG64; "
-                                f"got {type(bitgen).__name__}")
-            self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
-
-    def hand_back(self) -> None:
-        """Write the pending half back into the bit generator's state."""
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        self._bitgen.state = state
+    def __init__(self, bitgen, block: int):
+        blocks = iter(lambda: bitgen.random_raw(block).tolist(), None)
+        self._stream = itertools.chain.from_iterable(blocks)
+        self._word = self._stream.__next__
+        self._has_half, self._half = False, 0
 
     def _half_word(self) -> int:
         if self._has_half:
@@ -232,11 +179,7 @@ class _Draws:
 
     def doubles(self, count: int) -> list[float]:
         """count draws of uniform()."""
-        if self._stream is None:
-            words = self._bitgen.random_raw(count).tolist()
-        else:
-            words = itertools.islice(self._stream, count)
-        return [(w >> 11) * 2**-53 for w in words]
+        return [(w >> 11) * 2**-53 for w in itertools.islice(self._stream, count)]
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * ((self._word() >> 11) * 2**-53)
@@ -279,6 +222,10 @@ class _Draws:
             items[i], items[j] = items[j], items[i]
 
 
+def _too_large(name: str, value) -> ValueError:
+    return ValueError(f"{name} {value} is too large for a float")
+
+
 def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     """Draw one valid task system; identical for identical (seed, trial)."""
     from numpy.random import PCG64, SeedSequence
@@ -287,11 +234,12 @@ def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     # walk, a period, and halves for the shuffle, the width and the
     # deadline), so one block usually holds them all.
     draws = _Draws(PCG64(SeedSequence([params.seed, trial])), block=5 * params.n + 8)
-    target = float(Fraction(params.target_load) * params.m)
+    target_sum = Fraction(params.target_load) * params.m
     try:
-        utils = _fixed_sum(params.n, target, 0.0, 1.0, draws)
-    except ValueError as err:
-        raise GenerationError(str(err)) from err
+        target = float(target_sum)
+    except OverflowError:
+        raise _too_large("target sum", target_sum) from None
+    utils = _unit_fixed_sum(params.n, target, draws)
 
     t_min, t_max = params.t_min, params.t_max
     log_min, log_max = math.log(t_min), math.log(t_max)
@@ -304,9 +252,16 @@ def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
         width = integers(1, params.m + 1)
         period = t_min
         if t_min < t_max:  # log-uniform
-            period = round(math.exp(uniform(log_min, log_max)))
+            log_period = uniform(log_min, log_max)
+            try:
+                period = round(math.exp(log_period))
+            except OverflowError:
+                raise _too_large("period", f"e^{log_period!r}") from None
             period = min(max(period, t_min), t_max)
-        wcet = max(1, round(util * period))  # round half to even
+        try:
+            wcet = max(1, round(util * period))  # round half to even
+        except OverflowError:
+            raise _too_large("period", period) from None
         deadline = integers(wcet, period + 1) if constrained else period
         tasks.append(GangTask(i, width, wcet, deadline, period))
     ts = TaskSystem(processors=params.m, tasks=tuple(tasks))

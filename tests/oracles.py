@@ -6,7 +6,9 @@ execution timeline.  The scan references keep the plain forms that the
 optimized analysis code replaced: the scan bound in Fraction arithmetic
 and the window scan as one check_condition call per window length.  The
 schedule reference steps the simulator's rules one slot at a time.  The
-generator reference draws through numpy's Generator, one call per draw.
+generator references draw through numpy's Generator, one call per draw:
+the fixed-sum sampler with general bounds [lo, hi] on a caller's stream,
+and whole task systems on numpy's stream per (seed, trial).
 """
 
 from __future__ import annotations
@@ -167,7 +169,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def reference_fixed_sum(
     n: int, total: float, lo: float, hi: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """rand_fixed_sum drawn through rng's numpy calls."""
+    """One vector x of length n with sum(x) == total and lo <= x_i <= hi,
+    uniform over the constrained simplex (Stafford's construction), drawn
+    through rng's numpy calls.  generate_task_system's _unit_fixed_sum is
+    the case lo = 0, hi = 1, replayed on raw words."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if hi < lo:
@@ -202,7 +207,9 @@ def reference_fixed_sum(
 
 def reference_task_system(params: GenParams, trial: int) -> TaskSystem:
     """generate_task_system drawn through numpy's Generator, one call per
-    draw, in the order the generator draws."""
+    draw, in the order the generator draws.  A target sum or period past
+    the float range raises OverflowError here, where generate_task_system
+    raises a ValueError naming the value."""
     rng = trial_rng(params.seed, trial)
     target = float(Fraction(params.target_load) * params.m)
     try:

@@ -10,9 +10,11 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # generator's redraw limit (every draw is valid), the per-task scan
 # range (every range now comes from one bound table per system), the
 # horizon cut of miss-only simulations (first_miss makes it itself),
-# check_no_miss, which only asked whether first_miss(ts) is None, and
+# check_no_miss, which only asked whether first_miss(ts) is None,
 # trial_rng (the generator draws from raw PCG64 words; numpy's Generator
-# per trial is the reference in tests/oracles.py).
+# per trial is the reference in tests/oracles.py), and rand_fixed_sum and
+# its [lo, hi] wrapper _fixed_sum, which only tests called (the numpy
+# reference_fixed_sum in tests/oracles.py keeps the general bounds).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -33,6 +35,8 @@ DELETED = (
     "miss_horizon",
     "check_no_miss",
     "trial_rng",
+    "rand_fixed_sum",
+    "_fixed_sum",
 )
 
 

@@ -587,6 +587,40 @@ def test_gen_bounds_past_int64_end_in_numpys_error_line(tmp_path):
                                 "2199662081066654208\n")
 
 
+def test_gen_and_experiment_past_the_float_range_end_in_one_error_line(tmp_path):
+    # A target sum or a period that a float cannot hold ends the command
+    # with one line naming the value; the systems drawn before it are kept.
+    big = str(10**400)
+    out = tmp_path / "long"
+    assert main_in_process("gen", "--n", "3", "--m", "1", "--t-max", big, "--deadline-mode",
+                           "implicit", "--count", "3", "--out", str(out)) == (
+        1, f"{out / 'ts_0_0.txt'}\n",
+        "error: period e^726.0904296298233 is too large for a float\n")
+    assert [p.name for p in out.iterdir()] == ["ts_0_0.txt"]
+    assert hashlib.sha256((out / "ts_0_0.txt").read_bytes()).hexdigest() == (
+        "974bdd9c8bb4226126d373d0531cc01a5f98c2594474451b1b4b7feec214006f")
+    for name, flags, message in (
+            ("period", ("--m", "1", "--t-min", big, "--t-max", big), f"period {big}"),
+            ("target", ("--m", big), f"target sum {10**400 // 2}")):
+        out = tmp_path / name
+        assert main_in_process("gen", "--n", "1", *flags, "--out", str(out)) == (
+            1, "", f"error: {message} is too large for a float\n")
+        assert list(out.iterdir()) == []
+    assert main_in_process("experiment", "--points", "1", "--trials", "3", "--t-max", big,
+                           "--deadline-mode", "implicit") == (
+        1, "", "error: period e^903.4268601624109 is too large for a float\n")
+
+    # Periods past 2^63 that a float holds are still drawn.
+    out = tmp_path / "huge"
+    code, stdout, stderr = main_in_process("gen", "--n", "1", "--m", "1", "--t-max",
+                                           str(2**1100), "--deadline-mode", "implicit",
+                                           "--count", "3", "--out", str(out))
+    paths = [out / f"ts_0_{trial}.txt" for trial in range(3)]
+    assert (code, stdout, stderr) == (0, "".join(f"{path}\n" for path in paths), "")
+    assert hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest() == (
+        "7ff0f21a7fd89d40d1d0f4e4187d18620407ca2dc6c635881362e72c60d74801")
+
+
 def test_gen_of_many_tasks_on_few_processors_runs_in_bounded_memory(tmp_path):
     # 20,000 tasks at a total utilization of 0.2: the Stafford table needs
     # one column per level, where an n-wide table would hold 4 * 10^8
@@ -701,6 +735,11 @@ def golden_commands():
         yield ("experiment", "--seed", "5", *flags)
     yield ("gen", "--n", "4", "--m", "3", "--load", "0.7", "--seed", "3", "--count", "4",
            "--t-min", "4", "--t-max", "30", "--out", "gen")
+    # An infeasible target: a sum of 3 over two tasks fails every trial.
+    yield ("gen", "--n", "2", "--m", "6", "--load", "0.5", "--count", "2",
+           "--out", "gen-infeasible")
+    yield ("experiment", "--n", "2", "--m", "6", "--points", "4", "--trials", "3",
+           "--seed", "5", "--horizon", "50")
     yield ("analyze", "--input", "missing.txt")
     yield ("simulate", "--input", "cx.txt", "--horizon", "-1")
 
@@ -790,6 +829,8 @@ GOLDEN = {
      "12 --carry-in all --delta-cap 7 --horizon 40"): "8871d402ef13526a",
     ("gen --n 4 --m 3 --load 0.7 --seed 3 --count 4 --t-min 4 --t-max 30 "
      "--out gen"): "8325983524d5b87d",
+    "gen --n 2 --m 6 --load 0.5 --count 2 --out gen-infeasible": "9fadd76745ecaf3d",
+    "experiment --n 2 --m 6 --points 4 --trials 3 --seed 5 --horizon 50": "764f976caf863552",
     "analyze --input missing.txt": "9ccb554ffa08fed5",
     "simulate --input cx.txt --horizon -1": "ef16d9c54082461f",
 }

@@ -13,52 +13,58 @@ from gangsched.generator import (
     DeadlineMode,
     GenParams,
     GenerationError,
+    _Draws,
     _stafford_table,
+    _unit_fixed_sum,
     generate_task_system,
-    rand_fixed_sum,
 )
 from gangsched.model import validate
 
 from oracles import reference_fixed_sum, reference_task_system
 
 
+def unit_draws(seed):
+    """A draw stream of its own for _unit_fixed_sum, as generate_task_system
+    makes one per trial."""
+    return _Draws(np.random.PCG64(seed), block=4096)
+
+
 def test_single_element_is_forced():
-    x = rand_fixed_sum(1, 0.5, 0.0, 1.0, np.random.default_rng(0))
-    assert x.shape == (1,)
-    assert x[0] == pytest.approx(0.5, abs=1e-12)
+    assert _unit_fixed_sum(1, 0.5, unit_draws(0)) == [0.5]
 
 
-def _draws(count, n, total, lo, hi, rng):
-    return np.array([rand_fixed_sum(n, total, lo, hi, rng) for _ in range(count)])
+def _draws(count, n, total, seed):
+    draws = unit_draws(seed)
+    return np.array([_unit_fixed_sum(n, total, draws) for _ in range(count)])
 
 
 def test_sum_and_bounds_hold_on_every_draw():
-    rng = np.random.default_rng(1)
     for n, total in [(4, 2.0), (2, 0.3), (7, 6.5), (10, 1.0), (3, 3.0), (5, 0.0)]:
-        batch = _draws(200, n, total, 0.0, 1.0, rng)
+        batch = _draws(200, n, total, seed=1)
         assert batch.shape == (200, n)
         assert np.all(batch >= -1e-12) and np.all(batch <= 1 + 1e-12)
         assert np.max(np.abs(batch.sum(axis=1) - total)) <= 1e-9
 
 
 def test_general_bounds_rescale():
+    # Only the numpy reference takes bounds other than [0, 1].
     rng = np.random.default_rng(2)
-    batch = _draws(100, 5, 12.0, 1.5, 3.0, rng)
+    batch = np.array([reference_fixed_sum(5, 12.0, 1.5, 3.0, rng) for _ in range(100)])
     assert np.all(batch >= 1.5 - 1e-9) and np.all(batch <= 3.0 + 1e-9)
     assert np.max(np.abs(batch.sum(axis=1) - 12.0)) <= 1e-9
 
 
 def test_infeasible_sum_rejected():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        rand_fixed_sum(4, 4.5, 0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        rand_fixed_sum(4, -0.1, 0.0, 1.0, rng)
+    draws = unit_draws(3)
+    with pytest.raises(GenerationError, match=r"^sum 4.5 outside feasible range \[0.0, 4.0\]$"):
+        _unit_fixed_sum(4, 4.5, draws)
+    with pytest.raises(GenerationError, match=r"^sum -0.1 outside feasible range"):
+        _unit_fixed_sum(4, -0.1, draws)
 
 
 def test_coordinate_means_match_symmetry():
     # by symmetry each coordinate of a (3, sum 1.5) draw has mean 0.5
-    batch = _draws(100_000, 3, 1.5, 0.0, 1.0, np.random.default_rng(4))
+    batch = _draws(100_000, 3, 1.5, seed=4)
     means = batch.mean(axis=0)
     stderr = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
     assert np.all(np.abs(means - 0.5) <= 3 * stderr)
@@ -70,7 +76,7 @@ def test_marginal_matches_rejection_sampling_oracle():
     cube = rng.uniform(size=(400_000, 3))
     kept = cube[np.abs(cube.sum(axis=1) - 1.5) <= 0.02][:, 0]
     assert kept.size > 5_000
-    fixed = _draws(50_000, 3, 1.5, 0.0, 1.0, np.random.default_rng(6))[:, 0]
+    fixed = _draws(50_000, 3, 1.5, seed=6)[:, 0]
     grid = np.linspace(0.05, 0.95, 19)
     cdf_kept = np.array([(kept <= g).mean() for g in grid])
     cdf_fixed = np.array([(fixed <= g).mean() for g in grid])
@@ -78,11 +84,13 @@ def test_marginal_matches_rejection_sampling_oracle():
 
 
 # sha256 of the float64 bytes of every draw in the grid below, recorded from
-# the earlier (count, n) batch implementation of the sampler; a changed value,
-# RNG call or call order anywhere in the grid changes it.  The digest holds
-# only where numpy runs its float64 power on AVX512: the roots differ in the
-# last bit without that dispatch (NPY_DISABLE_CPU_FEATURES=X86_V4, or a CPU
-# without AVX512), and this test then fails.
+# the earlier (count, n) batch implementation of the sampler and drawn here by
+# the numpy reference, which test_generated_systems_match_the_numpy_reference
+# ties generate_task_system to; a changed value, RNG call or call order
+# anywhere in the grid changes it.  The digest holds only where numpy runs its
+# float64 power on AVX512: the roots differ in the last bit without that
+# dispatch (NPY_DISABLE_CPU_FEATURES=X86_V4, or a CPU without AVX512), and
+# this test then fails.
 GOLDEN_GRID_SHA256 = "9ee32566da0fb0591e39c93f000388689d6f434e6747fd1847ffcf413494279c"
 
 
@@ -98,50 +106,9 @@ def test_draws_are_bit_identical_to_recorded_digest():
         for lo, hi in [(0.0, 1.0), (1.5, 3.0), (0.5, 0.5)]:
             for u in unit_sums:
                 for _ in range(4):
-                    x = rand_fixed_sum(n, n * lo + (hi - lo) * u, lo, hi, rng)
+                    x = reference_fixed_sum(n, n * lo + (hi - lo) * u, lo, hi, rng)
                     digest.update(x.tobytes())
     assert digest.hexdigest() == GOLDEN_GRID_SHA256
-
-
-@pytest.mark.parametrize("before", [0, 1, 2, 5])
-def test_rand_fixed_sum_leaves_the_callers_stream_where_numpy_does(before):
-    # An odd number of earlier integers(0, 10) draws leaves a 32-bit half
-    # pending in the caller's bit generator; the shuffle may take it.
-    cases = [(1, 0.5, 0.0, 1.0), (2, 1.2, 0.0, 1.0), (4, 2.0, 0.0, 1.0), (7, 6.5, 0.0, 1.0),
-             (5, 12.0, 1.5, 3.0), (3, 1.5, 0.5, 0.5), (12, 3.3, 0.0, 1.0), (4, 4.5, 0.0, 1.0)]
-    for n, total, lo, hi in cases:
-        ours, numpys = np.random.default_rng(7 + n), np.random.default_rng(7 + n)
-        for rng in (ours, numpys):
-            rng.integers(0, 10, size=before)
-        results = []
-        for draw, rng in ((rand_fixed_sum, ours), (reference_fixed_sum, numpys)):
-            try:
-                x = draw(n, total, lo, hi, rng)
-                results.append((x.dtype, x.tobytes()))
-            except ValueError as err:
-                results.append(str(err))
-        assert results[0] == results[1], (n, total, lo, hi)
-        assert ours.bit_generator.state == numpys.bit_generator.state
-        assert ours.integers(0, 10, size=3).tolist() == numpys.integers(0, 10, size=3).tolist()
-        assert ours.uniform() == numpys.uniform()
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.SFC64, np.random.Philox])
-def test_rand_fixed_sum_draws_from_every_64_bit_generator_as_numpy_does(bit_generator):
-    ours, numpys = (np.random.Generator(bit_generator(11)) for _ in range(2))
-    for rng in (ours, numpys):
-        rng.integers(0, 10)
-    for n in range(1, 25):
-        x = rand_fixed_sum(n, 0.4 * n, 0.0, 1.0, ours)
-        assert x.tobytes() == reference_fixed_sum(n, 0.4 * n, 0.0, 1.0, numpys).tobytes()
-    assert ours.integers(0, 10, size=3).tolist() == numpys.integers(0, 10, size=3).tolist()
-    assert ours.uniform() == numpys.uniform()
-
-
-def test_rand_fixed_sum_refuses_a_32_bit_generator():
-    rng = np.random.Generator(np.random.MT19937(1))
-    with pytest.raises(TypeError, match="got MT19937"):
-        rand_fixed_sum(3, 1.5, 0.0, 1.0, rng)
 
 
 def generated(draw, params, trial):
@@ -282,6 +249,28 @@ def test_overloaded_target_raises_generation_error():
     params = GenParams(n=2, m=4, target_load=Fraction(9, 10), seed=5)
     with pytest.raises(GenerationError):
         generate_task_system(params, 0)
+
+
+def test_draws_past_the_float_range_end_in_a_value_error():
+    # Valid parameters whose target sum or period a float cannot hold: the
+    # error names the value.  At t_max 10^400 a log-uniform period passes
+    # e^709.78 in most trials; at 2^1100 most trials draw below it.
+    big = 10**400
+    cases = [
+        (GenParams(n=1, m=big, target_load=Fraction(1, 2)), 0, f"target sum {big // 2}"),
+        (GenParams(n=1, m=1, target_load=Fraction(1, 2), t_min=big, t_max=big), 0,
+         f"period {big}"),
+        (GenParams(n=3, m=1, target_load=Fraction(1, 2), t_max=big,
+                   deadline_mode=DeadlineMode.IMPLICIT), 1, "period e^726.0904296298233"),
+    ]
+    for params, trial, name in cases:
+        with pytest.raises(ValueError) as caught:
+            generate_task_system(params, trial)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == name + " is too large for a float"
+    params = GenParams(n=1, m=1, target_load=Fraction(1, 2), t_max=2**1100,
+                       deadline_mode=DeadlineMode.IMPLICIT)
+    assert generate_task_system(params, 0).tasks[0].period.bit_length() == 702
 
 
 def test_invalid_params_rejected():
