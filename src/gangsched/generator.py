@@ -11,7 +11,8 @@ Every draw is fully determined by (seed, trial); distinct trials use
 independently derived streams, so trial generation order never matters.
 A trial's stream is numpy's PCG64 seeded from SeedSequence([seed, trial]),
 and its draws are the ones numpy's Generator would make, replayed in
-Python on blocks of raw words rather than one numpy call per draw.
+Python on blocks of raw words rather than one numpy call per draw.  The
+simplex roots are Python float powers, not numpy calls.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class GenParams:
 
     target_load is the fraction of total platform capacity: utilizations
     are drawn with sum(U_i) == target_load * m, each U_i in [0, 1].
+
+    Bounds: 1 <= n; 1 <= m < 2**63, because the width draw is an int64
+    draw; 0 < target_load <= 1; 1 <= t_min <= t_max <= 2**53, because
+    every period up to 2**53 is exact as a float; 0 <= seed < 2**64.
     """
 
     n: int
@@ -63,6 +68,10 @@ class GenParams:
             raise ValueError("need 1 <= t_min <= t_max")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
+        if self.m >= 2**63:
+            raise ValueError("m must be < 2**63")
+        if self.t_max > 2**53:
+            raise ValueError("t_max must be <= 2**53")
 
 
 def _unit_fixed_sum(n: int, s: float, draws: _Draws) -> list:
@@ -70,28 +79,18 @@ def _unit_fixed_sum(n: int, s: float, draws: _Draws) -> list:
     over that slice of the unit cube: Stafford's construction."""
     if not (-1e-12 <= s <= n + 1e-12):
         raise GenerationError(f"sum {s} outside feasible range [0.0, {float(n)}]")
-    s = min(max(s, 0.0), float(n))
-    if n == 1:
-        return [s]
-    import numpy as np
-
     k, s, t = _stafford_table(n, s)
 
     x = [0.0] * n
     rt = draws.doubles(n - 1)  # simplex-type decisions
-    rs = np.array(draws.doubles(n - 1))  # position inside the simplex
+    rs = draws.doubles(n - 1)  # position inside the simplex
     total = s
     j = k + 1
     accum = 0.0
     scale = 1.0
     for i in range(n - 1, 0, -1):
         e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
-        # The root must stay numpy's power on a one-element array: Python's
-        # ** differs in the last bit in about 1/4 of draws, and one
-        # vectorised power over all n - 1 roots differs from the
-        # per-element call too (in 201 of 200,000 random pairs with numpy's
-        # AVX512 dispatch, 4 without), so either would change the draws.
-        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
+        sx = rs[n - i - 1] ** (1.0 / i)
         accum = accum + (1.0 - sx) * scale * total / (i + 1)
         scale = sx * scale
         x[n - i - 1] = accum + scale * e
@@ -106,8 +105,8 @@ def _unit_fixed_sum(n: int, s: float, draws: _Draws) -> list:
 # order, and one table holds O(n * (k + 1)) floats.
 @functools.lru_cache(maxsize=2)
 def _stafford_table(n: int, s: float) -> tuple[int, float, tuple[tuple[float, ...], ...]]:
-    """The simplex-walk inputs of _unit_fixed_sum for n >= 2: the integer
-    part k of s, s clamped to [k, k + 1], and the drop-branch table t."""
+    """The simplex-walk inputs of _unit_fixed_sum: floor(s) clamped to
+    [0, n - 1] as k, s clamped to [k, k + 1], and the drop-branch table t."""
     k = int(max(min(math.floor(s), n - 1), 0))
     s = max(min(s, float(k + 1)), float(k))
     s1 = [s - (k - c) for c in range(k + 1)]
@@ -186,9 +185,7 @@ class _Draws:
 
     def integers(self, low: int, high: int) -> int:
         """integers(low, high) with the default int64 dtype, for
-        0 <= low < high."""
-        if high > 2**63:
-            raise ValueError("high is out of bounds for int64")
+        0 <= low < high <= 2**63 (GenParams keeps m and t_max in range)."""
         span = high - 1 - low
         if 0 < span < 0xFFFFFFFF:  # Lemire's method on 32-bit halves
             excl = span + 1
@@ -222,10 +219,6 @@ class _Draws:
             items[i], items[j] = items[j], items[i]
 
 
-def _too_large(name: str, value) -> ValueError:
-    return ValueError(f"{name} {value} is too large for a float")
-
-
 def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     """Draw one valid task system; identical for identical (seed, trial)."""
     from numpy.random import PCG64, SeedSequence
@@ -234,12 +227,7 @@ def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     # walk, a period, and halves for the shuffle, the width and the
     # deadline), so one block usually holds them all.
     draws = _Draws(PCG64(SeedSequence([params.seed, trial])), block=5 * params.n + 8)
-    target_sum = Fraction(params.target_load) * params.m
-    try:
-        target = float(target_sum)
-    except OverflowError:
-        raise _too_large("target sum", target_sum) from None
-    utils = _unit_fixed_sum(params.n, target, draws)
+    utils = _unit_fixed_sum(params.n, float(Fraction(params.target_load) * params.m), draws)
 
     t_min, t_max = params.t_min, params.t_max
     log_min, log_max = math.log(t_min), math.log(t_max)
@@ -247,21 +235,15 @@ def generate_task_system(params: GenParams, trial: int) -> TaskSystem:
     integers, uniform = draws.integers, draws.uniform
     tasks: list[GangTask] = []
     for i, util in enumerate(utils):
-        # util <= 1 keeps wcet <= period, so every draw is valid.
+        # util <= 1 keeps wcet <= period, as periods up to 2**53 are exact
+        # floats, so every draw is valid.
         util = min(max(util, 0.0), 1.0)  # strip float dust
         width = integers(1, params.m + 1)
         period = t_min
         if t_min < t_max:  # log-uniform
-            log_period = uniform(log_min, log_max)
-            try:
-                period = round(math.exp(log_period))
-            except OverflowError:
-                raise _too_large("period", f"e^{log_period!r}") from None
+            period = round(math.exp(uniform(log_min, log_max)))
             period = min(max(period, t_min), t_max)
-        try:
-            wcet = max(1, round(util * period))  # round half to even
-        except OverflowError:
-            raise _too_large("period", period) from None
+        wcet = max(1, round(util * period))  # round half to even
         deadline = integers(wcet, period + 1) if constrained else period
         tasks.append(GangTask(i, width, wcet, deadline, period))
     ts = TaskSystem(processors=params.m, tasks=tuple(tasks))

@@ -188,14 +188,14 @@ def reference_fixed_sum(
     k, s, t = _stafford_table(n, s)
     x = [0.0] * n
     rt = rng.uniform(size=n - 1).tolist()
-    rs = rng.uniform(size=n - 1)
+    rs = rng.uniform(size=n - 1).tolist()
     total = s
     j = k + 1
     accum = 0.0
     scale = 1.0
     for i in range(n - 1, 0, -1):
         e = 1.0 if rt[n - i - 1] <= t[i - 1][j - 1] else 0.0
-        sx = float((rs[n - i - 1 : n - i] ** (1.0 / i))[0])
+        sx = rs[n - i - 1] ** (1.0 / i)
         accum = accum + (1.0 - sx) * scale * total / (i + 1)
         scale = sx * scale
         x[n - i - 1] = accum + scale * e
@@ -207,9 +207,7 @@ def reference_fixed_sum(
 
 def reference_task_system(params: GenParams, trial: int) -> TaskSystem:
     """generate_task_system drawn through numpy's Generator, one call per
-    draw, in the order the generator draws.  A target sum or period past
-    the float range raises OverflowError here, where generate_task_system
-    raises a ValueError naming the value."""
+    draw, in the order the generator draws."""
     rng = trial_rng(params.seed, trial)
     target = float(Fraction(params.target_load) * params.m)
     try:

@@ -563,62 +563,23 @@ def test_gen_rejects_a_zero_denominator_load(tmp_path):
     assert not out.exists()
 
 
-def test_gen_bounds_past_int64_end_in_numpys_error_line(tmp_path):
-    # The bounded draws keep numpy's int64 limit and message: a width bound
-    # of m = 2^63 fails at the first task.  At t-max 10^20 the first system
-    # draws its periods under 2^63 and is written; the second draws one
-    # above and ends the command.
-    out = tmp_path / "wide"
-    result = run_cli("gen", "--n", "2", "--m", str(2**63), "--load", f"1/{2**63}",
-                     "--out", str(out))
-    assert (result.returncode, result.stdout, result.stderr) == (
-        1, "", "error: high is out of bounds for int64\n")
-    assert list(out.iterdir()) == []
-
-    out = tmp_path / "long"
-    result = run_cli("gen", "--n", "2", "--m", "3", "--t-max", str(10**20), "--count", "2",
-                     "--seed", "0", "--out", str(out))
-    path = out / "ts_0_0.txt"
-    assert (result.returncode, result.stdout, result.stderr) == (
-        1, f"{path}\n", "error: high is out of bounds for int64\n")
-    assert [p.name for p in out.iterdir()] == ["ts_0_0.txt"]
-    assert path.read_text() == ("m 3\ntask 1 14 15 21\n"
-                                "task 3 1798106461860482816 2041704466431288882 "
-                                "2199662081066654208\n")
-
-
-def test_gen_and_experiment_past_the_float_range_end_in_one_error_line(tmp_path):
-    # A target sum or a period that a float cannot hold ends the command
-    # with one line naming the value; the systems drawn before it are kept.
-    big = str(10**400)
-    out = tmp_path / "long"
-    assert main_in_process("gen", "--n", "3", "--m", "1", "--t-max", big, "--deadline-mode",
-                           "implicit", "--count", "3", "--out", str(out)) == (
-        1, f"{out / 'ts_0_0.txt'}\n",
-        "error: period e^726.0904296298233 is too large for a float\n")
-    assert [p.name for p in out.iterdir()] == ["ts_0_0.txt"]
-    assert hashlib.sha256((out / "ts_0_0.txt").read_bytes()).hexdigest() == (
-        "974bdd9c8bb4226126d373d0531cc01a5f98c2594474451b1b4b7feec214006f")
-    for name, flags, message in (
-            ("period", ("--m", "1", "--t-min", big, "--t-max", big), f"period {big}"),
-            ("target", ("--m", big), f"target sum {10**400 // 2}")):
-        out = tmp_path / name
-        assert main_in_process("gen", "--n", "1", *flags, "--out", str(out)) == (
-            1, "", f"error: {message} is too large for a float\n")
-        assert list(out.iterdir()) == []
-    assert main_in_process("experiment", "--points", "1", "--trials", "3", "--t-max", big,
-                           "--deadline-mode", "implicit") == (
-        1, "", "error: period e^903.4268601624109 is too large for a float\n")
-
-    # Periods past 2^63 that a float holds are still drawn.
-    out = tmp_path / "huge"
-    code, stdout, stderr = main_in_process("gen", "--n", "1", "--m", "1", "--t-max",
-                                           str(2**1100), "--deadline-mode", "implicit",
-                                           "--count", "3", "--out", str(out))
-    paths = [out / f"ts_0_{trial}.txt" for trial in range(3)]
-    assert (code, stdout, stderr) == (0, "".join(f"{path}\n" for path in paths), "")
-    assert hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest() == (
-        "7ff0f21a7fd89d40d1d0f4e4187d18620407ca2dc6c635881362e72c60d74801")
+@pytest.mark.parametrize("m, periods, message", [
+    (2**63, (), "m must be < 2**63"),
+    (10**4299, (), "m must be < 2**63"),
+    (3, ("--t-max", str(10**20)), "t_max must be <= 2**53"),
+    (3, ("--t-min", str(10**400), "--t-max", str(10**400)), "t_max must be <= 2**53"),
+], ids=["m-2^63", "m-10^4299", "t_max-10^20", "t_min-t_max-10^400"])
+def test_generation_flags_out_of_range_end_in_one_error_line(tmp_path, m, periods, message):
+    # The width draw is an int64 draw, and periods must be exact floats:
+    # m >= 2^63 or t_max > 2^53 ends the command before any trial is drawn.
+    # A load of 1/m keeps the target sum load * m feasible for n = 2.
+    flags = ("--n", "2", "--m", str(m), *periods)
+    out = tmp_path / "never"
+    assert main_in_process("gen", *flags, "--load", f"1/{m}", "--count", "2",
+                           "--out", str(out)) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+    assert main_in_process("experiment", *flags, "--load-max", f"1/{m}", "--points", "1",
+                           "--trials", "2") == (1, "", f"error: {message}\n")
 
 
 def test_gen_of_many_tasks_on_few_processors_runs_in_bounded_memory(tmp_path):

@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,7 @@ from gangsched.generator import (
     _unit_fixed_sum,
     generate_task_system,
 )
-from gangsched.model import validate
+from gangsched.model import print_task_system, validate
 
 from oracles import reference_fixed_sum, reference_task_system
 
@@ -83,15 +79,11 @@ def test_marginal_matches_rejection_sampling_oracle():
     assert np.max(np.abs(cdf_kept - cdf_fixed)) < 0.05
 
 
-# sha256 of the float64 bytes of every draw in the grid below, recorded from
-# the earlier (count, n) batch implementation of the sampler and drawn here by
-# the numpy reference, which test_generated_systems_match_the_numpy_reference
-# ties generate_task_system to; a changed value, RNG call or call order
-# anywhere in the grid changes it.  The digest holds only where numpy runs its
-# float64 power on AVX512: the roots differ in the last bit without that
-# dispatch (NPY_DISABLE_CPU_FEATURES=X86_V4, or a CPU without AVX512), and
-# this test then fails.
-GOLDEN_GRID_SHA256 = "9ee32566da0fb0591e39c93f000388689d6f434e6747fd1847ffcf413494279c"
+# sha256 of the float64 bytes of every draw in the grid below, drawn by the
+# numpy reference, which test_generated_systems_match_the_numpy_reference
+# ties generate_task_system to, with its roots taken as Python float powers;
+# a changed value, RNG call or call order anywhere in the grid changes it.
+GOLDEN_GRID_SHA256 = "863fbb2ea46dd5615501d20fb2da25bd7504727e128cc06ecaf7829e2770cd68"
 
 
 def test_draws_are_bit_identical_to_recorded_digest():
@@ -122,12 +114,14 @@ def generated(draw, params, trial):
 # (P, x): one task at the fixed period P with utilization (P - x) / P draws
 # its deadline with the closed span period - wcet = x.  The spans at and
 # around 2^32 switch numpy's bounded draw from 32-bit halves to whole words;
-# 2^31 and 2^61 make it reject about half and an eighth of the draws.
+# 2^31 makes it reject about half of the draws, and 2^53 is the largest
+# period.
 DEADLINE_SPANS = [(2**41, x) for x in (0, 2**32 - 1, 2**32, 2**32 + 1, 2**40)] + [
-    (2**32, 2**31), (2**62, 2**61)]
-# m - 1 is the closed span of the width draw; m = 2^63 is past int64.
+    (2**32, 2**31), (2**53, 2**52)]
+# m - 1 is the closed span of the width draw: 2^62 makes whole-word draws
+# reject about a quarter of the time, and m = 2^63 - 1 is the largest m.
 WIDTH_BOUNDS = [1, 2**32, 2**32 + 1, 2**32 + 2, 2**40 + 1, 2**31 + 1, 2**62 + 1,
-                2**63 - 1, 2**63]
+                2**63 - 1]
 
 
 def deadline_span_params(period, span):
@@ -160,34 +154,10 @@ def test_generated_systems_match_the_numpy_reference():
             assert ours == generated(reference_task_system, params, trial), (params, trial)
             if isinstance(ours, tuple):
                 seen_errors.add(ours)
-    assert {("GenerationError", "sum 1.5 outside feasible range [0.0, 1.0]"),
-            ("ValueError", "high is out of bounds for int64")} <= seen_errors
+    assert ("GenerationError", "sum 1.5 outside feasible range [0.0, 1.0]") in seen_errors
     for period, span in DEADLINE_SPANS:  # the boundary systems reach their spans
         (task,) = generate_task_system(deadline_span_params(period, span), 0).tasks
         assert (task.period, task.period - task.wcet) == (period, span)
-
-
-def test_differential_and_cli_goldens_hold_without_avx512():
-    # numpy dispatches its float64 power to AVX512 where the CPU has it;
-    # rerun the differential test and the CLI goldens (gen and experiment
-    # among them) with that dispatch off, as on a CPU without AVX512.
-    from numpy._core import _multiarray_umath
-
-    if "X86_V4" not in getattr(_multiarray_umath, "__cpu_dispatch__", ()):
-        pytest.skip("numpy has no X86_V4 dispatch target here")
-    tests = Path(__file__).resolve().parent
-    script = ("import sys, pytest\n"
-              "from numpy._core._multiarray_umath import __cpu_features__\n"
-              "assert not __cpu_features__['X86_V4']\n"
-              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-c", script,
-         f"{tests / 'test_generator.py'}::test_generated_systems_match_the_numpy_reference",
-         f"{tests / 'test_cli.py'}::test_cli_bytes_match_the_golden_digests"],
-        capture_output=True, text=True, env=env, cwd=tests.parent, timeout=300)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "2 passed" in done.stdout
 
 
 def test_same_seed_and_trial_reproduce_system():
@@ -251,26 +221,14 @@ def test_overloaded_target_raises_generation_error():
         generate_task_system(params, 0)
 
 
-def test_draws_past_the_float_range_end_in_a_value_error():
-    # Valid parameters whose target sum or period a float cannot hold: the
-    # error names the value.  At t_max 10^400 a log-uniform period passes
-    # e^709.78 in most trials; at 2^1100 most trials draw below it.
-    big = 10**400
-    cases = [
-        (GenParams(n=1, m=big, target_load=Fraction(1, 2)), 0, f"target sum {big // 2}"),
-        (GenParams(n=1, m=1, target_load=Fraction(1, 2), t_min=big, t_max=big), 0,
-         f"period {big}"),
-        (GenParams(n=3, m=1, target_load=Fraction(1, 2), t_max=big,
-                   deadline_mode=DeadlineMode.IMPLICIT), 1, "period e^726.0904296298233"),
-    ]
-    for params, trial, name in cases:
-        with pytest.raises(ValueError) as caught:
-            generate_task_system(params, trial)
-        assert type(caught.value) is ValueError
-        assert str(caught.value) == name + " is too large for a float"
-    params = GenParams(n=1, m=1, target_load=Fraction(1, 2), t_max=2**1100,
-                       deadline_mode=DeadlineMode.IMPLICIT)
-    assert generate_task_system(params, 0).tasks[0].period.bit_length() == 702
+def test_period_of_2_to_the_53_keeps_wcet_and_deadline_within_it():
+    # 2^53 is the largest t_max: its period is exact as a float, so a full
+    # utilization rounds to a wcet of exactly the period.
+    for mode in DeadlineMode:
+        params = GenParams(n=1, m=1, target_load=Fraction(1), t_min=2**53, t_max=2**53,
+                           deadline_mode=mode)
+        assert print_task_system(generate_task_system(params, 0)) == (
+            "m 1\ntask 1 9007199254740992 9007199254740992 9007199254740992\n")
 
 
 def test_invalid_params_rejected():
@@ -284,6 +242,10 @@ def test_invalid_params_rejected():
         GenParams(n=1, m=1, target_load=Fraction(1, 2), t_min=5, t_max=4)
     with pytest.raises(ValueError):
         GenParams(n=1, m=1, target_load=Fraction(1, 2), seed=2**64)
+    with pytest.raises(ValueError, match=r"^m must be < 2\*\*63$"):
+        GenParams(n=1, m=2**63, target_load=Fraction(1, 2**63))
+    with pytest.raises(ValueError, match=r"^t_max must be <= 2\*\*53$"):
+        GenParams(n=1, m=1, target_load=Fraction(1, 2), t_min=2**53 + 1, t_max=2**53 + 1)
 
 
 def test_trial_streams_are_independent_of_generation_order():
