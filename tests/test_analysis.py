@@ -505,6 +505,14 @@ def outcome_systems(draw):
 @example(REFUTED_AND_CERTIFIED, None)
 @example(REFUTED_THEN_CLEAN, 4)
 @example(VIOLATED_THEN_CLEAN, 2)
+# Defined intervals.  Under original with the all-tasks carry-in every
+# first window holds and task 0's walk finds the only violation, at 5.
+# Task 0's range is empty (last 3 < D_0 = 5) and, under strict, task 1 is
+# violated at D_1.  Task 0's range is its first window alone (last ==
+# D_0 = 3), violated there under strict.
+@example(TaskSystem(2, (GangTask(0, 2, 1, 4, 4), GangTask(1, 1, 4, 6, 6))), None)
+@example(TaskSystem(3, (GangTask(0, 1, 1, 5, 7), GangTask(1, 2, 1, 1, 5))), None)
+@example(TaskSystem(4, (GangTask(0, 1, 1, 3, 4), GangTask(1, 4, 2, 7, 7))), None)
 def test_system_outcome_is_the_outcome_class_of_analyze(ts, delta_cap):
     for config in ALL_CONFIGS:
         config = replace(config, delta_cap=delta_cap)
@@ -538,39 +546,61 @@ def test_system_outcome_raises_the_scan_guard_error_of_analyze():
         assert got == outcome_class_of(ts, config, False)
 
 
-def record_scans(monkeypatch) -> list:
-    """The task of every window scan, in call order."""
-    scans = []
-    first_violation = analysis._first_violation
+def record_walks(monkeypatch) -> list:
+    """The task of every breakpoint walk, in call order."""
+    walks = []
+    walk = analysis._walk
 
-    def recording(ts, k, lo, hi, config):
-        scans.append(k)
-        return first_violation(ts, k, lo, hi, config)
+    def recording(ts, k, violated, held, hi):
+        walks.append(k)
+        return walk(ts, k, violated, held, hi)
 
-    monkeypatch.setattr(analysis, "_first_violation", recording)
-    return scans
+    monkeypatch.setattr(analysis, "_walk", recording)
+    return walks
 
 
-@pytest.mark.parametrize("ts, config, want, scans", [
+@pytest.mark.parametrize("ts, config, want, points, walks", [
     # Inapplicable under original from the bounds alone.
-    (REFUTED_AND_CERTIFIED, ORIGINAL, "inapplicable", []),
-    # Not proven: the scan stops at task 1, the first violated one.
+    (REFUTED_AND_CERTIFIED, ORIGINAL, "inapplicable", [], []),
+    # Not proven: task 0's first window D_0 = 5 holds and task 1's D_1 = 2
+    # is violated, so nothing is walked.
     (TaskSystem(2, (GangTask(0, 1, 1, 5, 5), GangTask(1, 1, 1, 2, 2),
-                    GangTask(2, 1, 1, 1, 1))), STRICT, "not_proven", [0, 1]),
-    # Schedulable: one scan per task.
+                    GangTask(2, 1, 1, 1, 1))), STRICT, "not_proven", [5, 2], []),
+    # Schedulable: every first window, then one walk per task.
     (TaskSystem(2, (GangTask(0, 2, 3, 9, 10), GangTask(1, 2, 1, 4, 5),
-                    GangTask(2, 2, 2, 5, 5))), STRICT, "schedulable", [0, 1, 2]),
-    # Strict scans the undefined intervals first, and only them.
-    (REFUTED_AND_CERTIFIED, STRICT, "not_proven", [1]),
-    (REFUTED_THEN_CLEAN, replace(STRICT, delta_cap=4), "inapplicable", [0, 1]),
-    (VIOLATED_THEN_CLEAN, replace(STRICT, delta_cap=2), "inapplicable", [1]),
+                    GangTask(2, 2, 2, 5, 5))), STRICT, "schedulable", [9, 4, 5], [0, 1, 2]),
+    # Strict scans the undefined intervals first, and only them; each is
+    # refuted at its first window or its range is empty.
+    (REFUTED_AND_CERTIFIED, STRICT, "not_proven", [2], []),
+    (REFUTED_THEN_CLEAN, replace(STRICT, delta_cap=4), "inapplicable", [4], []),
+    (VIOLATED_THEN_CLEAN, replace(STRICT, delta_cap=2), "inapplicable", [], []),
 ])
 def test_system_outcome_scans_only_the_tasks_that_decide_it(monkeypatch, ts, config,
-                                                            want, scans):
-    recorded = record_scans(monkeypatch)
+                                                            want, points, walks):
+    # points lists every window evaluated before the first walk.
+    recorded, walked = record_points(monkeypatch), record_walks(monkeypatch)
     assert system_outcome(ts, config) == want
-    assert recorded == scans
+    assert recorded[:len(points)] == points
+    assert walked == walks
+    if not walks:
+        assert recorded == points
     assert analyze(ts, config).outcome_class == want
+
+
+def test_system_outcome_decides_a_late_first_window_violation_before_any_walk(monkeypatch):
+    # Tasks 0 and 1 are certified by scans of about 25.7M windows; task 2
+    # (C_2 = D_2) is violated at its first window under strict.
+    ts = TaskSystem(4, (GangTask(0, 1, 1, 10**6, 10**6), GangTask(1, 1, 2, 10**6 - 7, 10**6 + 3),
+                        GangTask(2, 4, 990000, 990000, 10**6)))
+    points = record_points(monkeypatch)
+    assert system_outcome(ts, STRICT) == "not_proven"
+    assert points == [10**6, 10**6 - 7, 990000]
+    points.clear()
+    verdict = analyze(ts, STRICT)
+    assert len(points) > 100
+    assert [type(o) for o in verdict.per_task] == [Certified, Certified, NotProven]
+    assert verdict.per_task[2].witness_delta == 990000
+    assert verdict.outcome_class == "not_proven"
 
 
 # --- scan implementation details --------------------------------------------

@@ -20,7 +20,8 @@ from gangsched import cli
 from gangsched.analysis import Certified, Inapplicable, NotProven, analyze
 from gangsched.model import parse_task_system, print_task_system
 
-from test_analysis import ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems
+from test_analysis import (ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems, record_points,
+                           record_walks)
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
@@ -473,6 +474,19 @@ def test_experiment_bytes_match_a_run_on_analyze(monkeypatch):
     rows = [row.split(",") for _, out, _ in fast for row in out.splitlines()[1:]]
     for column in (2, 3, 4):  # certified, not_proven, inapplicable
         assert sum(int(row[column]) for row in rows) > 0
+
+
+def test_experiment_sweep_evaluates_the_first_windows_before_any_walk(monkeypatch):
+    # One command of the criterion-3 sweep shape.  Every system is decided
+    # by first windows alone; scanning each task's whole range before the
+    # next task's first window evaluated 351 points here.
+    points, walks = record_points(monkeypatch), record_walks(monkeypatch)
+    code, _, _ = main_in_process(
+        "experiment", "--n", "10", "--m", "6", "--points", "20", "--load-max", "0.4",
+        "--variant", "original", "--carry-in", "top", "--horizon", "200",
+        "--trials", "5", "--seed", "48")
+    assert code == 0
+    assert (len(points), walks) == (59, [])
 
 
 @settings(max_examples=200, deadline=5000)
