@@ -70,7 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import merge
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .demand import hbf, hbf_prime
 from .model import TaskSystem
@@ -210,7 +210,7 @@ def check_condition(
     h_k - 1 carry-in extras (every extra under ALL_TASKS); rhs is the
     rectangle area.  This is the independent reference form of the
     comparison; the window scan evaluates it in the lemma form of the
-    module docstring (see _violation_test).
+    module docstring (see _scan_test).
     """
     own = ts.tasks[k]
     if delta < own.deadline:
@@ -327,7 +327,7 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
         certification no matter how the interval was obtained), and only
         a clean scan yields Inapplicable.
     """
-    return _task_outcome(ts, k, *_scan_ranges(ts, config, [k])[0], config)
+    return next(_outcomes(ts, config, [(k, *_scan_ranges(ts, config, [k])[0])]))
 
 
 def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> AnalysisVerdict:
@@ -338,8 +338,7 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
     taken first, in task order, from one bound table.
     """
     ranges = _scan_ranges(ts, config, range(ts.n))
-    return AnalysisVerdict(tuple(_task_outcome(ts, k, row, last, config)
-                                 for k, (row, last) in enumerate(ranges)))
+    return AnalysisVerdict(tuple(_outcomes(ts, config, ((k, *r) for k, r in enumerate(ranges)))))
 
 
 def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
@@ -354,31 +353,23 @@ def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) ->
     sit at a task's first window D_k, so the scan runs in two phases.  It
     evaluates every task's first window, in task order, and stops at the
     first violated one.  Only when all of them hold does it walk each
-    task's remaining range (D_k, last] from the held D_k.  On 1,000
-    systems of the criterion-3 sweep shape (10 tasks on 6 processors,
-    original variant, load up to 0.4) it evaluates 650 windows and walks
-    25 ranges; scanning each task's whole range before the next task's
-    first window evaluated 6,162 windows in 917 scans.
+    task's remaining range (D_k, last] from the held D_k, with the same
+    scan test.  On 1,000 systems of the criterion-3 sweep shape (10 tasks
+    on 6 processors, original variant, load up to 0.4) it evaluates 650
+    windows and walks 25 ranges; scanning each task's whole range before
+    the next task's first window evaluated 6,162 windows in 917 scans.
     """
     ranges = _scan_ranges(ts, config, range(ts.n))
-    undefined = [k for k, ((_, _, denominator), _) in enumerate(ranges) if denominator <= 0]
+    undefined = [(k, *r) for k, r in enumerate(ranges) if r[0][2] <= 0]
     if undefined:
-        outcomes = (_task_outcome(ts, k, *ranges[k], config) for k in undefined)
-        return (SYSTEM_INAPPLICABLE if any(isinstance(o, Inapplicable) for o in outcomes)
-                else SYSTEM_NOT_PROVEN)
-    walks = []
-    for k, (_, last) in enumerate(ranges):
-        deadline = ts.tasks[k].deadline
-        if last >= deadline:
-            if _violation_test(ts, k, config)(deadline):
-                return SYSTEM_NOT_PROVEN
-            walks.append((k, deadline, last))
-    # Each test is built again rather than kept from the first phase: n
-    # kept tests hold n^2 rows.
-    return (SYSTEM_NOT_PROVEN
-            if any(_walk(ts, k, _violation_test(ts, k, config), deadline, last)
-                   for k, deadline, last in walks)
-            else SYSTEM_SCHEDULABLE)
+        inapplicable = any(isinstance(o, Inapplicable) for o in _outcomes(ts, config, undefined))
+        return SYSTEM_INAPPLICABLE if inapplicable else SYSTEM_NOT_PROVEN
+    scans = [(k, ts.tasks[k].deadline, last) for k, (_, last) in enumerate(ranges)
+             if last >= ts.tasks[k].deadline]
+    test = _scan_test(ts, config) if scans else None
+    violated = (any(test(k, deadline) for k, deadline, _ in scans)
+                or any(_walk(ts, k, test, deadline, last) for k, deadline, last in scans))
+    return SYSTEM_NOT_PROVEN if violated else SYSTEM_SCHEDULABLE
 
 
 # Refuse-to-run guard: a near-zero positive denominator can demand an
@@ -420,46 +411,48 @@ def _scan_ranges(
     return ranges
 
 
-def _task_outcome(
-    ts: TaskSystem, k: int, row: _BoundRow, last: Optional[int], config: AnalysisConfig
-) -> TaskOutcome:
-    """analyze_task's outcome for task k from its precomputed range."""
-    common, _, denominator = row
-    if last is None:
-        return Inapplicable(k, Fraction(denominator, common), scanned_up_to=None)
-    found = _first_violation(ts, k, ts.tasks[k].deadline, last, config)
-    if found is not None:
-        return NotProven(k, *found)
-    if denominator > 0:
-        return Certified(k, scanned_up_to=last)
-    return Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
+_ScanTest = Callable[[int, int], Optional[tuple[int, int]]]
+
+
+def _outcomes(
+    ts: TaskSystem, config: AnalysisConfig, ranges: Iterable[tuple[int, _BoundRow, Optional[int]]]
+) -> Iterator[TaskOutcome]:
+    """analyze_task's outcome for each (k, bound row, last) listed, in
+    order.  The system's scan test is built at the first range that holds
+    a window, and only then."""
+    test = None
+    for k, (common, _, denominator), last in ranges:
+        found = None
+        if last is not None and last >= ts.tasks[k].deadline:
+            test = test or _scan_test(ts, config)
+            found = _first_violation(ts, k, ts.tasks[k].deadline, last, test)
+        if found:
+            yield NotProven(k, *found)
+        elif denominator > 0:
+            yield Certified(k, scanned_up_to=last)
+        else:
+            yield Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
 
 
 def _first_violation(
-    ts: TaskSystem, k: int, lo: int, hi: int, config: AnalysisConfig
+    ts: TaskSystem, k: int, lo: int, hi: int, test: _ScanTest
 ) -> Optional[tuple[int, int, int]]:
     """(delta, lhs, rhs) at the smallest integer delta in [lo, hi]
-    (lo >= D_k) violating the condition, or None.  The caller bounds the
-    range by SCAN_GUARD (see _scan_ranges).
-
-    Checks the first window lo, then walks the rest of the range from it
-    (see _walk).
-    """
-    if hi < lo:
-        return None
-    violated = _violation_test(ts, k, config)
-    if found := violated(lo):
+    (D_k <= lo <= hi) violating task k's condition, or None.  The caller
+    bounds the range by SCAN_GUARD (see _scan_ranges).  The first window
+    is checked on its own: most violations sit there, and the walk's
+    breakpoint ranges (see _walk) cost O(n) to set up."""
+    if found := test(k, lo):
         return (lo, *found)
-    return _walk(ts, k, violated, lo, hi)
+    return _walk(ts, k, test, lo, hi)
 
 
 def _walk(
-    ts: TaskSystem, k: int, violated: Callable[[int], Optional[tuple[int, int]]],
-    held: int, hi: int
+    ts: TaskSystem, k: int, test: _ScanTest, held: int, hi: int
 ) -> Optional[tuple[int, int, int]]:
     """(delta, lhs, rhs) at the smallest integer delta in (held, hi]
-    violating the condition, or None, given task k's test `violated` and a
-    window held >= D_k where the condition holds.
+    violating task k's condition under the system's scan test, or None,
+    given a window held >= D_k where the condition holds.
 
     Walks the breakpoints inside (held, hi) in increasing order (see the
     module docstring) and hi.  The first violated point ends a segment
@@ -477,10 +470,10 @@ def _walk(
     for point in chain(merge(*families), (hi,)):
         if point <= held:
             continue
-        if found := violated(point):
+        if found := test(k, point):
             while point - held > 1:
                 mid = (held + point) // 2
-                if at_mid := violated(mid):
+                if at_mid := test(k, mid):
                     point, found = mid, at_mid
                 else:
                     held = mid
@@ -489,34 +482,37 @@ def _walk(
     return None
 
 
-def _violation_test(ts: TaskSystem, k: int,
-                    config: AnalysisConfig) -> Callable[[int], Optional[tuple[int, int]]]:
-    """Task k's scan test, built once per scan: (lhs, rhs) where check_condition
-    fails at a window length delta >= D_k, else None, in the lemma form of the
-    module docstring (every task clipped at delta - C_k, and no clamp at 0)."""
-    own = ts.tasks[k]
-    c_k, h = own.wcet, ts.processors - own.width + 1
-    keep = ts.n if config.carry_in_strategy is CarryInStrategy.ALL_TASKS else max(h - 1, 0)
+def _scan_test(ts: TaskSystem, config: AnalysisConfig) -> _ScanTest:
+    """The system's scan test, built once per analysis from one row per
+    task, in the lemma form of the module docstring (every term clipped
+    at delta - C_k, and no clamp at 0): (lhs, rhs) where
+    check_condition(ts, k, delta, config) fails at delta >= D_k, else
+    None."""
+    all_tasks = config.carry_in_strategy is CarryInStrategy.ALL_TASKS
     strict = config.variant is Variant.STRICT
-    # wcet, deadline, period, min(v_i, h_k), and what the demand loses:
-    # C_k for task k itself, else 0.
-    rows = [(t.wcet, t.deadline, t.period, min(t.width, h), c_k if i == k else 0)
-            for i, t in enumerate(ts.tasks)]
+    rows = [(t.wcet, t.deadline, t.period, t.width) for t in ts.tasks]
 
-    def violated(delta: int) -> bool:
+    def violated(k: int, delta: int) -> Optional[tuple[int, int]]:
+        c_k, _, _, v_k = own = rows[k]
+        h = ts.processors - v_k + 1
         width = delta - c_k
         lhs, extras = 0, []
-        for wcet, deadline, period, clip, less in rows:
+        for row in rows:
+            wcet, deadline, period, v = row
             # hbf_i and hbf'_i, clipped at width by conditionals: min()
             # would double the cost of this loop, which is the scan's cost.
-            no_carry = ((delta - deadline) // period + 1) * wcet - less
+            clip = v if v < h else h
+            no_carry = ((delta - deadline) // period + 1) * wcet
             jobs, offset = divmod(delta, period)
-            carry = jobs * wcet + (offset if offset < wcet else wcet) - less
+            carry = jobs * wcet + (offset if offset < wcet else wcet)
+            if row is own:  # task k's own demand loses C_k
+                no_carry -= wcet
+                carry -= wcet
             no_carry = (no_carry if no_carry < width else width) * clip
             lhs += no_carry
             extras.append((carry if carry < width else width) * clip - no_carry)
         extras.sort(reverse=True)
-        lhs += sum(extras[:keep])
+        lhs += sum(extras if all_tasks else extras[:h - 1])
         rhs = width * h
         return (lhs, rhs) if (lhs >= rhs if strict else lhs > rhs) else None
 

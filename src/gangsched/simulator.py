@@ -88,10 +88,7 @@ class ScheduleTrace:
 
 def hyperperiod(ts: TaskSystem) -> int:
     """lcm of all periods; raises HorizonOverflowError above HORIZON_GUARD slots."""
-    return _guard_hyperperiod(math.lcm(*(t.period for t in ts.tasks)))
-
-
-def _guard_hyperperiod(h: int) -> int:
+    h = math.lcm(*(t.period for t in ts.tasks))
     if h > HORIZON_GUARD:
         raise HorizonOverflowError(f"hyperperiod {h} exceeds guard {HORIZON_GUARD}")
     return h
@@ -138,12 +135,17 @@ def first_miss(ts: TaskSystem, horizon: Optional[int] = None) -> Optional[tuple[
     runs are kept.  With D <= T a first hyperperiod without a miss
     leaves no job unfinished, so the state at the lcm repeats the state
     at 0 and the schedule repeats forever: the miss, if any, lies in
-    the first min(horizon, lcm) slots.
+    the first min(horizon, lcm) slots.  The lcm is folded task by task
+    and stops at the horizon: a partial lcm divides the full one.
     """
-    lcm = math.lcm(*(t.period for t in ts.tasks))
     if horizon is None:
-        horizon = _guard_hyperperiod(lcm)
+        horizon = hyperperiod(ts)
     _check_horizon(horizon)
+    lcm = 1
+    for t in ts.tasks:
+        if lcm >= horizon:
+            break
+        lcm = math.lcm(lcm, t.period)
     return _simulate(ts, min(horizon, lcm), True, None)
 
 

@@ -316,13 +316,18 @@ def test_integer_scan_bound_matches_fraction_oracle(ts):
             assert [last for _, last in _scan_ranges(ts, config, range(ts.n))] == want
 
 
+def bound_table_system(n: int) -> TaskSystem:
+    """n tasks of unit wcet on 8 processors, with periods 9 + i."""
+    rng = random.Random(n)
+    return TaskSystem(8, tuple(GangTask(i, rng.randint(1, 8), 1, rng.randint(2, 9), 9 + i)
+                               for i in range(n)))
+
+
 @pytest.mark.parametrize("n", [7, 40])
 def test_one_bound_table_per_system(monkeypatch, n):
     # analyze and system_outcome take every task's scan range from one
     # table: one lcm of the periods per call, not one per task.
-    rng = random.Random(n)
-    ts = TaskSystem(8, tuple(GangTask(i, rng.randint(1, 8), 1, rng.randint(2, 9), 9 + i)
-                             for i in range(n)))
+    ts = bound_table_system(n)
     builds, lcms = [], []
     build, lcm = analysis._bound_table, math.lcm
     monkeypatch.setattr(analysis, "_bound_table",
@@ -334,6 +339,29 @@ def test_one_bound_table_per_system(monkeypatch, n):
             lcms.clear()
             run(ts, config)
             assert (len(builds), len(lcms)) == (1, 1), (run.__name__, config)
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_one_scan_test_per_system(monkeypatch, n):
+    # Every window of one call is evaluated by one scan test of the
+    # system, not one per task, and none is built when no window is.
+    # Up to 14 tasks every scan interval here is defined.
+    ts = bound_table_system(n)
+    assert all(isinstance(scan_upper_bound(ts, k, strategy), DeltaBound)
+               for k in range(n) for strategy in CarryInStrategy)
+    builds = []
+    build = analysis._scan_test
+    monkeypatch.setattr(analysis, "_scan_test", lambda *args: builds.append(1) or build(*args))
+    for config in ALL_CONFIGS:
+        for run in (analyze, system_outcome, lambda ts, config: analyze_task(ts, n - 1, config)):
+            builds.clear()
+            run(ts, config)
+            assert len(builds) == 1, (run, config)
+    # Under original an undefined interval decides the class unscanned.
+    builds.clear()
+    assert system_outcome(REFUTED_AND_CERTIFIED, ORIGINAL) == "inapplicable"
+    assert isinstance(analyze_task(REFUTED_AND_CERTIFIED, 1, ORIGINAL), Inapplicable)
+    assert builds == []
 
 
 def test_scan_guard_system_bound_is_tiny_positive():
@@ -613,11 +641,17 @@ def assert_check_condition_at_the_witness(ts: TaskSystem, config: AnalysisConfig
     assert type(outcome.lhs) is int and type(outcome.rhs) is int
 
 
+def first_violation(ts: TaskSystem, k: int, lo: int, hi: int,
+                    config: AnalysisConfig) -> Optional[tuple[int, int, int]]:
+    """_first_violation under the system's scan test for config."""
+    return _first_violation(ts, k, lo, hi, analysis._scan_test(ts, config))
+
+
 def scan_witness(ts: TaskSystem, k: int, lo: int, hi: int,
                  config: AnalysisConfig) -> Optional[int]:
     """_first_violation's witness, its lhs and rhs checked against
     check_condition's."""
-    found = _first_violation(ts, k, lo, hi, config)
+    found = first_violation(ts, k, lo, hi, config)
     if found is None:
         return None
     assert_check_condition_at_the_witness(ts, config, NotProven(k, *found))
@@ -715,9 +749,9 @@ def test_first_violation_is_independent_of_the_scan_end():
         ts = random_system(rng)
         k = rng.randrange(ts.n)
         lo = ts.tasks[k].deadline
-        assert _first_violation(ts, k, lo, lo + 20, STRICT) == _first_violation(
+        assert first_violation(ts, k, lo, lo + 20, STRICT) == first_violation(
             ts, k, lo, lo + 2000, STRICT
-        ) or _first_violation(ts, k, lo, lo + 20, STRICT) is None
+        ) or first_violation(ts, k, lo, lo + 20, STRICT) is None
 
 
 @pytest.mark.parametrize("whole_system", [True, False], ids=["analyze", "analyze_task"])
@@ -767,6 +801,65 @@ def test_verdicts_never_call_check_condition(monkeypatch):
     for ts, config, outcome in not_proven:
         assert_check_condition_at_the_witness(ts, config, outcome)
     assert len(not_proven) >= 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcome_systems())
+# C_k = D_k: task k's demand hbf_k = C_k exceeds the width D_k - C_k = 0
+# at its first window, so only the own-row form of the module docstring
+# (less C_k, never clipped) gives check_condition's term; the second
+# system holds two equal rows, of which only task k's is reduced.
+@example(two_task_system())
+@example(TaskSystem(3, (GangTask(0, 1, 3, 3, 5), GangTask(1, 1, 3, 3, 5),
+                        GangTask(2, 2, 1, 4, 4))))
+# Some v_i > h_k: the clip min(v_i, h_k) is h_k, not v_i.
+@example(TaskSystem(4, (GangTask(0, 4, 1, 3, 4), GangTask(1, 2, 2, 3, 3),
+                        GangTask(2, 3, 1, 2, 6))))
+@example(TaskSystem(5, (GangTask(0, 5, 2, 2, 7), GangTask(1, 4, 3, 5, 5))))
+def test_scan_test_is_check_condition_at_every_window(ts):
+    # At every window from D_k through two of the longest periods past
+    # it, the system's scan test answers (lhs, rhs) exactly where
+    # check_condition fails, with its lhs and rhs, and None elsewhere.
+    span = 2 * max(t.period for t in ts.tasks)
+    for config in ALL_CONFIGS:
+        test = analysis._scan_test(ts, config)
+        for k, task in enumerate(ts.tasks):
+            for delta in range(task.deadline, task.deadline + span + 1):
+                holds, summary = check_condition(ts, k, delta, config)
+                assert test(k, delta) == (None if holds else (summary.lhs, summary.rhs)), (
+                    k, delta, config)
+
+
+@st.composite
+def permuted_systems(draw):
+    """A small system and a permutation of its task indices."""
+    ts = draw(outcome_systems())
+    return ts, draw(st.permutations(range(ts.n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_systems())
+@example((TaskSystem(3, (GangTask(0, 1, 3, 3, 5), GangTask(1, 1, 3, 3, 5),
+                         GangTask(2, 2, 1, 4, 4))), [2, 0, 1]))
+@example((REFUTED_AND_CERTIFIED, [1, 0]))
+@example((TaskSystem(4, (GangTask(0, 4, 1, 3, 4), GangTask(1, 2, 2, 3, 3),
+                         GangTask(2, 3, 1, 2, 6))), [1, 2, 0]))
+def test_permuting_the_tasks_permutes_the_outcomes(case):
+    # The analysis is symmetric in task index: task order[j] of ts is
+    # task j of the permuted system, with the same outcome.
+    ts, order = case
+    permuted = TaskSystem(ts.processors, tuple(replace(ts.tasks[i], index=j)
+                                               for j, i in enumerate(order)))
+    for config in ALL_CONFIGS:
+        try:
+            verdict = analyze(ts, config)
+        except ScanGuardError:
+            with pytest.raises(ScanGuardError):
+                analyze(permuted, config)
+            continue
+        assert analyze(permuted, config).per_task == tuple(
+            replace(verdict.per_task[i], task_index=j) for j, i in enumerate(order))
+        assert system_outcome(permuted, config) == system_outcome(ts, config)
 
 
 def past_int64(ts: TaskSystem, hi: int) -> bool:
@@ -861,18 +954,18 @@ def test_first_violation_offset_from_the_scan_start_matches_dense_scan(offset):
 def record_points(monkeypatch) -> list:
     """Every window length the scan evaluates, in order."""
     points = []
-    violation_test = analysis._violation_test
+    scan_test = analysis._scan_test
 
-    def recording_test(ts, k, config):
-        violated = violation_test(ts, k, config)
+    def recording_test(ts, config):
+        violated = scan_test(ts, config)
 
-        def recording(delta):
+        def recording(k, delta):
             points.append(delta)
-            return violated(delta)
+            return violated(k, delta)
 
         return recording
 
-    monkeypatch.setattr(analysis, "_violation_test", recording_test)
+    monkeypatch.setattr(analysis, "_scan_test", recording_test)
     return points
 
 
@@ -894,7 +987,7 @@ def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
     period = 1000
     ts = late_violation_system(period)
     # Under the strict variant lhs == rhs fails at the first window.
-    assert _first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
+    assert first_violation(ts, 0, period, period + 10**5, STRICT)[0] == period
     assert points == [period]
 
 

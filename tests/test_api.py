@@ -14,7 +14,10 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # trial_rng (the generator draws from raw PCG64 words; numpy's Generator
 # per trial is the reference in tests/oracles.py), and rand_fixed_sum and
 # its [lo, hi] wrapper _fixed_sum, which only tests called (the numpy
-# reference_fixed_sum in tests/oracles.py keeps the general bounds).
+# reference_fixed_sum in tests/oracles.py keeps the general bounds), the
+# per-task scan test and outcome step (one scan test per system now
+# evaluates every window) and the hyperperiod guard helper (folded into
+# hyperperiod, its only caller).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -37,6 +40,9 @@ DELETED = (
     "trial_rng",
     "rand_fixed_sum",
     "_fixed_sum",
+    "_violation_test",
+    "_task_outcome",
+    "_guard_hyperperiod",
 )
 
 

@@ -280,6 +280,28 @@ def test_event_driven_simulation_matches_slot_reference(case):
         assert first_miss(ts) == simulate_synchronous(ts).first_miss
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 104, 105, 106, 200])
+def test_first_miss_folds_the_lcm_only_up_to_the_horizon(monkeypatch, horizon):
+    # The full lcm of these periods has about 1,600 bits; the fold stops
+    # once the lcm reaches the horizon, at 105 = lcm(3, 5, 7) or at the
+    # first long period past it.
+    periods = (3, 5, 7) + tuple(2**40 + 2 * i + 1 for i in range(40))
+    ts = TaskSystem(2, tuple(GangTask(i, 1, 1, p, p) for i, p in enumerate(periods)))
+    assert math.lcm(*periods).bit_length() > 1000
+    want = simulate_synchronous(ts, horizon).first_miss
+    sizes = []
+    lcm = math.lcm
+
+    def recording(*args):
+        result = lcm(*args)
+        sizes.append(result.bit_length())
+        return result
+
+    monkeypatch.setattr(math, "lcm", recording)
+    assert first_miss(ts, horizon) == want
+    assert max(sizes, default=0) <= 48
+
+
 def long_period_system() -> TaskSystem:
     """Misses at 6e7: tasks 0 and 1 fill the platform until task 0
     completes at 4e7, and task 2 then runs only 2e7 of its 6e7 units
