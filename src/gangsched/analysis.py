@@ -327,7 +327,7 @@ def analyze_task(ts: TaskSystem, k: int, config: AnalysisConfig) -> TaskOutcome:
         certification no matter how the interval was obtained), and only
         a clean scan yields Inapplicable.
     """
-    return next(_outcomes(ts, config, [(k, *_scan_ranges(ts, config, [k])[0])]))
+    return next(_outcomes(ts, config, _scan_ranges(ts, config, [k])))
 
 
 def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> AnalysisVerdict:
@@ -335,10 +335,11 @@ def analyze(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> Analys
 
     Pure function of its inputs: per-task outcomes are independent and
     identical regardless of evaluation order.  Every task's scan range is
-    taken first, in task order, from one bound table.
+    taken first, in task order, from one bound table, and the outcomes of
+    _outcomes are put back in task order.
     """
-    ranges = _scan_ranges(ts, config, range(ts.n))
-    return AnalysisVerdict(tuple(_outcomes(ts, config, ((k, *r) for k, r in enumerate(ranges)))))
+    outcomes = _outcomes(ts, config, _scan_ranges(ts, config, range(ts.n)))
+    return AnalysisVerdict(tuple(sorted(outcomes, key=lambda o: o.task_index)))
 
 
 def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) -> str:
@@ -348,27 +349,15 @@ def system_outcome(ts: TaskSystem, config: AnalysisConfig = AnalysisConfig()) ->
     Every task's scan range is taken first, as in analyze, so that a
     range over SCAN_GUARD raises for the same task.  Only a task with an
     undefined scan interval can be Inapplicable, and it is never
-    Certified, so when there are such tasks only they are visited.
-    Otherwise one violated window decides the class, and most violations
-    sit at a task's first window D_k, so the scan runs in two phases.  It
-    evaluates every task's first window, in task order, and stops at the
-    first violated one.  Only when all of them hold does it walk each
-    task's remaining range (D_k, last] from the held D_k, with the same
-    scan test.  On 1,000 systems of the criterion-3 sweep shape (10 tasks
-    on 6 processors, original variant, load up to 0.4) it evaluates 650
-    windows and walks 25 ranges; scanning each task's whole range before
-    the next task's first window evaluated 6,162 windows in 917 scans.
+    Certified, so when there are such tasks only they are visited, up to
+    the first Inapplicable outcome.  Otherwise the first NotProven
+    outcome decides the class.
     """
     ranges = _scan_ranges(ts, config, range(ts.n))
-    undefined = [(k, *r) for k, r in enumerate(ranges) if r[0][2] <= 0]
-    if undefined:
+    if undefined := [r for r in ranges if r[1][2] <= 0]:
         inapplicable = any(isinstance(o, Inapplicable) for o in _outcomes(ts, config, undefined))
         return SYSTEM_INAPPLICABLE if inapplicable else SYSTEM_NOT_PROVEN
-    scans = [(k, ts.tasks[k].deadline, last) for k, (_, last) in enumerate(ranges)
-             if last >= ts.tasks[k].deadline]
-    test = _scan_test(ts, config) if scans else None
-    violated = (any(test(k, deadline) for k, deadline, _ in scans)
-                or any(_walk(ts, k, test, deadline, last) for k, deadline, last in scans))
+    violated = any(isinstance(o, NotProven) for o in _outcomes(ts, config, ranges))
     return SYSTEM_NOT_PROVEN if violated else SYSTEM_SCHEDULABLE
 
 
@@ -381,14 +370,15 @@ class ScanGuardError(RuntimeError):
     """A scan interval holds more than SCAN_GUARD window lengths."""
 
 
-def _scan_ranges(
-    ts: TaskSystem, config: AnalysisConfig, tasks: Iterable[int]
-) -> list[tuple[_BoundRow, Optional[int]]]:
-    """Each listed task's bound row and the last window length to scan
-    from D_k: ceil(bound) when the bound is defined, else the refutation
-    cap under strict and None (no scan) under original.  Raises
-    ScanGuardError for the first listed task whose range holds more than
-    SCAN_GUARD window lengths."""
+_ScanRange = tuple[int, _BoundRow, Optional[int]]
+
+
+def _scan_ranges(ts: TaskSystem, config: AnalysisConfig, tasks: Iterable[int]) -> list[_ScanRange]:
+    """(k, bound row, last) for each listed task k, where last is the last
+    window length to scan from D_k: ceil(bound) when the bound is
+    defined, else the refutation cap under strict and None (no scan)
+    under original.  Raises ScanGuardError for the first listed task
+    whose range holds more than SCAN_GUARD window lengths."""
     table = _bound_table(ts, config.carry_in_strategy)
     cap = config.delta_cap
     ranges = []
@@ -401,13 +391,13 @@ def _scan_ranges(
                 cap = default_delta_cap(ts)
             last = cap
         else:
-            ranges.append((table[k], None))
+            ranges.append((k, table[k], None))
             continue
         windows = last - ts.tasks[k].deadline + 1
         if windows > SCAN_GUARD:
             raise ScanGuardError(f"task {k}: scan over {windows} window lengths "
                                  f"exceeds guard {SCAN_GUARD}")
-        ranges.append((table[k], last))
+        ranges.append((k, table[k], last))
     return ranges
 
 
@@ -415,36 +405,39 @@ _ScanTest = Callable[[int, int], Optional[tuple[int, int]]]
 
 
 def _outcomes(
-    ts: TaskSystem, config: AnalysisConfig, ranges: Iterable[tuple[int, _BoundRow, Optional[int]]]
+    ts: TaskSystem, config: AnalysisConfig, ranges: list[_ScanRange]
 ) -> Iterator[TaskOutcome]:
-    """analyze_task's outcome for each (k, bound row, last) listed, in
-    order.  The system's scan test is built at the first range that holds
-    a window, and only then."""
-    test = None
-    for k, (common, _, denominator), last in ranges:
-        found = None
-        if last is not None and last >= ts.tasks[k].deadline:
-            test = test or _scan_test(ts, config)
-            found = _first_violation(ts, k, ts.tasks[k].deadline, last, test)
-        if found:
-            yield NotProven(k, *found)
-        elif denominator > 0:
-            yield Certified(k, scanned_up_to=last)
+    """analyze_task's outcome for each listed range, as soon as it is
+    decided: in order, a range with no window or a violated first window
+    D_k at once, then the walks of the other ranges over (D_k, last].
+    Most violations sit at D_k, and a walk costs O(n) to set up: on
+    1,000 systems of the criterion-3 sweep shape (10 tasks on 6
+    processors, original variant, load up to 0.4) system_outcome
+    evaluates 650 windows and walks 25 ranges, where scanning each
+    task's whole range first evaluated 6,162 windows in 917 scans.  The
+    scan test is built at the first window, if any."""
+    test, held = None, []
+    for k, row, last in ranges:
+        deadline = ts.tasks[k].deadline
+        if last is None or last < deadline:
+            yield _clean_outcome(k, row, last)
+            continue
+        test = test or _scan_test(ts, config)
+        if found := test(k, deadline):
+            yield NotProven(k, deadline, *found)
         else:
-            yield Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
+            held.append((k, row, last))
+    for k, row, last in held:
+        found = _walk(ts, k, test, ts.tasks[k].deadline, last)
+        yield NotProven(k, *found) if found else _clean_outcome(k, row, last)
 
 
-def _first_violation(
-    ts: TaskSystem, k: int, lo: int, hi: int, test: _ScanTest
-) -> Optional[tuple[int, int, int]]:
-    """(delta, lhs, rhs) at the smallest integer delta in [lo, hi]
-    (D_k <= lo <= hi) violating task k's condition, or None.  The caller
-    bounds the range by SCAN_GUARD (see _scan_ranges).  The first window
-    is checked on its own: most violations sit there, and the walk's
-    breakpoint ranges (see _walk) cost O(n) to set up."""
-    if found := test(k, lo):
-        return (lo, *found)
-    return _walk(ts, k, test, lo, hi)
+def _clean_outcome(k: int, row: _BoundRow, last: Optional[int]) -> Union[Certified, Inapplicable]:
+    """Task k's outcome when no window up to last is violated."""
+    common, _, denominator = row
+    if denominator > 0:
+        return Certified(k, scanned_up_to=last)
+    return Inapplicable(k, Fraction(denominator, common), scanned_up_to=last)
 
 
 def _walk(

@@ -88,10 +88,20 @@ class ScheduleTrace:
 
 def hyperperiod(ts: TaskSystem) -> int:
     """lcm of all periods; raises HorizonOverflowError above HORIZON_GUARD slots."""
-    h = math.lcm(*(t.period for t in ts.tasks))
+    h = _lcm_up_to(ts, HORIZON_GUARD + 1)
     if h > HORIZON_GUARD:
-        raise HorizonOverflowError(f"hyperperiod {h} exceeds guard {HORIZON_GUARD}")
+        raise HorizonOverflowError(f"hyperperiod exceeds guard {HORIZON_GUARD}")
     return h
+
+
+def _lcm_up_to(ts: TaskSystem, cap: int) -> int:
+    """lcm(T_i), folded task by task only until it reaches cap."""
+    lcm = 1
+    for t in ts.tasks:
+        if lcm >= cap:
+            break
+        lcm = math.lcm(lcm, t.period)
+    return lcm
 
 
 def _check_horizon(horizon: int) -> None:
@@ -141,12 +151,7 @@ def first_miss(ts: TaskSystem, horizon: Optional[int] = None) -> Optional[tuple[
     if horizon is None:
         horizon = hyperperiod(ts)
     _check_horizon(horizon)
-    lcm = 1
-    for t in ts.tasks:
-        if lcm >= horizon:
-            break
-        lcm = math.lcm(lcm, t.period)
-    return _simulate(ts, min(horizon, lcm), True, None)
+    return _simulate(ts, min(horizon, _lcm_up_to(ts, horizon)), True, None)
 
 
 def _simulate(

@@ -21,8 +21,8 @@ from gangsched.analysis import (
     SCAN_GUARD,
     ScanGuardError,
     Variant,
-    _first_violation,
     _scan_ranges,
+    _walk,
     analyze,
     analyze_task,
     check_condition,
@@ -313,7 +313,7 @@ def test_integer_scan_bound_matches_fraction_oracle(ts):
             with pytest.raises(ScanGuardError, match=f"^task {over[0]}: "):
                 _scan_ranges(ts, config, range(ts.n))
         else:
-            assert [last for _, last in _scan_ranges(ts, config, range(ts.n))] == want
+            assert [last for _, _, last in _scan_ranges(ts, config, range(ts.n))] == want
 
 
 def bound_table_system(n: int) -> TaskSystem:
@@ -615,6 +615,21 @@ def test_system_outcome_scans_only_the_tasks_that_decide_it(monkeypatch, ts, con
     assert analyze(ts, config).outcome_class == want
 
 
+def test_analyze_evaluates_every_first_window_before_any_walk(monkeypatch):
+    # The schedulable case above: analyze takes its outcomes from the same
+    # stream as system_outcome, first windows first, then walks, and
+    # puts them back in task order.
+    ts = TaskSystem(2, (GangTask(0, 2, 3, 9, 10), GangTask(1, 2, 1, 4, 5),
+                        GangTask(2, 2, 2, 5, 5)))
+    recorded, walked = record_points(monkeypatch), record_walks(monkeypatch)
+    verdict = analyze(ts, STRICT)
+    assert recorded[:3] == [9, 4, 5]
+    assert walked == [0, 1, 2]
+    assert [o.task_index for o in verdict.per_task] == [0, 1, 2]
+    assert verdict.per_task == tuple(analyze_task(ts, k, STRICT) for k in range(3))
+    assert verdict.outcome_class == "schedulable"
+
+
 def test_system_outcome_decides_a_late_first_window_violation_before_any_walk(monkeypatch):
     # Tasks 0 and 1 are certified by scans of about 25.7M windows; task 2
     # (C_2 = D_2) is violated at its first window under strict.
@@ -643,13 +658,17 @@ def assert_check_condition_at_the_witness(ts: TaskSystem, config: AnalysisConfig
 
 def first_violation(ts: TaskSystem, k: int, lo: int, hi: int,
                     config: AnalysisConfig) -> Optional[tuple[int, int, int]]:
-    """_first_violation under the system's scan test for config."""
-    return _first_violation(ts, k, lo, hi, analysis._scan_test(ts, config))
+    """(delta, lhs, rhs) at the first violated window in [lo, hi] under
+    the system's scan test for config: lo itself, then _walk from lo."""
+    test = analysis._scan_test(ts, config)
+    if found := test(k, lo):
+        return (lo, *found)
+    return _walk(ts, k, test, lo, hi)
 
 
 def scan_witness(ts: TaskSystem, k: int, lo: int, hi: int,
                  config: AnalysisConfig) -> Optional[int]:
-    """_first_violation's witness, its lhs and rhs checked against
+    """first_violation's witness, its lhs and rhs checked against
     check_condition's."""
     found = first_violation(ts, k, lo, hi, config)
     if found is None:

@@ -16,8 +16,9 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # its [lo, hi] wrapper _fixed_sum, which only tests called (the numpy
 # reference_fixed_sum in tests/oracles.py keeps the general bounds), the
 # per-task scan test and outcome step (one scan test per system now
-# evaluates every window) and the hyperperiod guard helper (folded into
-# hyperperiod, its only caller).
+# evaluates every window), the hyperperiod guard helper (folded into
+# hyperperiod, its only caller) and the per-task window scan (_outcomes
+# checks every first window, then walks).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -43,6 +44,7 @@ DELETED = (
     "_violation_test",
     "_task_outcome",
     "_guard_hyperperiod",
+    "_first_violation",
 )
 
 

@@ -231,6 +231,19 @@ def test_simulate_no_trace_over_the_horizon_guard_is_still_an_error(cx_file):
         1, "", f"error: horizon {horizon} exceeds guard {HORIZON_GUARD}\n")
 
 
+@pytest.mark.parametrize("flags", [("--no-trace",), ()])
+def test_simulate_refuses_a_hyperperiod_too_long_to_print(tmp_path, flags):
+    # 3,000 periods just under 2^53: their lcm has far more than the
+    # 4,300 digits Python will print, and is folded only up to the guard.
+    from gangsched.simulator import HORIZON_GUARD
+
+    path = tmp_path / "long.txt"
+    path.write_text("m 1\n" + "".join(f"task 1 1 {p} {p}\n"
+                                      for p in range(2**53 - 3000, 2**53)))
+    assert main_in_process("simulate", "--input", str(path), *flags) == (
+        1, "", f"error: hyperperiod exceeds guard {HORIZON_GUARD}\n")
+
+
 def test_simulate_over_the_horizon_guard_leaves_out_untouched(cx_file, tmp_path):
     from gangsched.simulator import HORIZON_GUARD
 
@@ -487,6 +500,16 @@ def test_experiment_sweep_evaluates_the_first_windows_before_any_walk(monkeypatc
         "--trials", "5", "--seed", "48")
     assert code == 0
     assert (len(points), walks) == (59, [])
+
+
+def test_strict_experiment_work_is_pinned(monkeypatch):
+    # A default strict sweep, two trials per point: systems with an
+    # undefined interval are refuted or found Inapplicable by refutation
+    # scans, the others by first windows and walks.
+    points, walks = record_points(monkeypatch), record_walks(monkeypatch)
+    code, _, _ = main_in_process("experiment", "--trials", "2", "--seed", "0")
+    assert code == 0
+    assert (len(points), walks) == (504, [0, 6, 0, 8, 2, 9, 6, 0, 3, 4, 0, 1, 5])
 
 
 @settings(max_examples=200, deadline=5000)

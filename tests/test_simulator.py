@@ -280,15 +280,16 @@ def test_event_driven_simulation_matches_slot_reference(case):
         assert first_miss(ts) == simulate_synchronous(ts).first_miss
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 104, 105, 106, 200])
+@pytest.mark.parametrize("horizon", [0, 1, 104, 105, 106, 200, None])
 def test_first_miss_folds_the_lcm_only_up_to_the_horizon(monkeypatch, horizon):
     # The full lcm of these periods has about 1,600 bits; the fold stops
     # once the lcm reaches the horizon, at 105 = lcm(3, 5, 7) or at the
-    # first long period past it.
+    # first long period past it.  With no horizon hyperperiod folds up to
+    # HORIZON_GUARD + 1, and the second long period takes it past.
     periods = (3, 5, 7) + tuple(2**40 + 2 * i + 1 for i in range(40))
     ts = TaskSystem(2, tuple(GangTask(i, 1, 1, p, p) for i, p in enumerate(periods)))
     assert math.lcm(*periods).bit_length() > 1000
-    want = simulate_synchronous(ts, horizon).first_miss
+    want = None if horizon is None else simulate_synchronous(ts, horizon).first_miss
     sizes = []
     lcm = math.lcm
 
@@ -298,8 +299,14 @@ def test_first_miss_folds_the_lcm_only_up_to_the_horizon(monkeypatch, horizon):
         return result
 
     monkeypatch.setattr(math, "lcm", recording)
-    assert first_miss(ts, horizon) == want
-    assert max(sizes, default=0) <= 48
+    if horizon is None:
+        with pytest.raises(HorizonOverflowError,
+                           match=f"^hyperperiod exceeds guard {simulator.HORIZON_GUARD}$"):
+            first_miss(ts)
+        assert max(sizes) < 90
+    else:
+        assert first_miss(ts, horizon) == want
+        assert max(sizes, default=0) <= 48
 
 
 def long_period_system() -> TaskSystem:
