@@ -222,30 +222,27 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     verdict_orig = analyze_task(ts, 1, original)
     verdict_strict = analyze_task(ts, 1, strict)
 
-    problems: list[str] = []
-
-    def expect(fact: str, got, want) -> None:
-        if got != want:
-            problems.append(f"{fact}: expected {want!r}, got {got!r}")
-
-    expect("slot 0 allocation", trace.slots[0], ((0, (0, 1)),))
-    expect("slot 1 allocation", trace.slots[1], ((0, (0, 1)),))
-    expect("late execution in slot 2", trace.slots[2], ((1, (0, 1)),))
-    expect("first miss", trace.first_miss, (1, 2))
-    expect("rectangle width", width, 1)
-    expect("rectangle height", height, 2)
-    expect("no-carry interference", summary.no_carry_in, (2, 0))
-    expect("with-carry interference", summary.with_carry_in, (2, 0))
-    expect("carry-in extras", summary.carry_in_extra, (0, 0))
-    expect("carry-in bound", summary.carry_in_bound, 0)
-    expect("lhs", summary.lhs, 2)
-    expect("rhs", summary.rhs, 2)
-    expect("non-strict condition holds", holds_orig, True)
-    expect("strict condition holds", holds_strict, False)
-    expect("scan-interval denominator", bound, NoDeltaBound(Fraction(-1)))
-    expect("original verdict", verdict_orig,
-           Inapplicable(task_index=1, denominator=Fraction(-1), scanned_up_to=None))
-    expect("strict verdict", verdict_strict, NotProven(1, 2, 2, 2))
+    # The text report prints only values that these facts verified.
+    facts = (
+        ("schedule", trace.slots, (((0, (0, 1)),), ((0, (0, 1)),), ((1, (0, 1)),))),
+        ("first miss", trace.first_miss, (1, 2)),
+        ("rectangle width", width, 1),
+        ("rectangle height", height, 2),
+        ("no-carry interference", summary.no_carry_in, (2, 0)),
+        ("with-carry interference", summary.with_carry_in, (2, 0)),
+        ("carry-in extras", summary.carry_in_extra, (0, 0)),
+        ("carry-in bound", summary.carry_in_bound, 0),
+        ("lhs", summary.lhs, 2),
+        ("rhs", summary.rhs, 2),
+        ("non-strict condition holds", holds_orig, True),
+        ("strict condition holds", holds_strict, False),
+        ("scan-interval denominator", bound, NoDeltaBound(Fraction(-1))),
+        ("original verdict", verdict_orig,
+         Inapplicable(task_index=1, denominator=Fraction(-1), scanned_up_to=None)),
+        ("strict verdict", verdict_strict, NotProven(1, 2, 2, 2)),
+    )
+    problems = [f"{fact}: expected {want!r}, got {got!r}"
+                for fact, got, want in facts if got != want]
 
     if args.json:
         payload = {
@@ -269,6 +266,11 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, default=str))
         return EXIT_OK if not problems else EXIT_INPUT_ERROR
+    if problems:
+        print("FACT MISMATCH:")
+        for p in problems:
+            print(f"  {p}")
+        return EXIT_INPUT_ERROR
 
     print("counterexample task system (3 processors):")
     for t in ts.tasks:
@@ -277,16 +279,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     print()
     print("gang EDF simulation (synchronous releases, horizon 3, continuing after miss):")
     for slot, allocation in enumerate(trace.slots):
-        if allocation:
-            runs = "  ".join(
-                f"task {task} on processors {','.join(map(str, procs))}"
-                for task, procs in allocation
-            )
-        else:
-            runs = "idle"
+        runs = "  ".join(f"task {task} on processors {','.join(map(str, procs))}"
+                         for task, procs in allocation)
         print(f"  slot {slot}: {runs}")
-    miss_task, miss_deadline = trace.first_miss
-    print(f"  first deadline miss: task {miss_task} at time {miss_deadline}")
+    print(f"  first deadline miss: task {trace.first_miss[0]} at time {trace.first_miss[1]}")
     print()
     print("interference against task 1 at window length delta=2:")
     print(f"  rectangle: width={width} height={height}")
@@ -298,16 +294,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     print(f"  non-strict comparison: {summary.lhs} <= {summary.rhs} holds; "
           f"strict comparison: {summary.lhs} < {summary.rhs} fails")
     print()
-    assert isinstance(bound, NoDeltaBound)
     print(f"scan interval for task 1 (top strategy): denominator = {bound.denominator}")
     print(f"  original variant verdict: {_outcome_text(verdict_orig)}")
     print(f"  strict variant verdict:   {_outcome_text(verdict_strict)}")
     print()
-    if problems:
-        print("FACT MISMATCH:")
-        for p in problems:
-            print(f"  {p}")
-        return EXIT_INPUT_ERROR
     print("all facts reproduced exactly: OK")
     return EXIT_OK
 
@@ -401,7 +391,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError("load-max must be in (0, 1]")
     # Checked once so that invalid flags fail even with no points or trials.
     params = _gen_params(args, load_max)
-    horizon = None if args.horizon == "auto" else _parse_horizon(args.horizon)
+    horizon = EXPERIMENT_SIM_CAP if args.horizon == "auto" else _parse_horizon(args.horizon)
     lines = [EXPERIMENT_HEADER]
     for j in range(1, args.points + 1):
         load = load_max * Fraction(j, args.points)
@@ -416,17 +406,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 gen_errors += 1
                 continue
             counts[system_outcome(ts, config)] += 1
-            if _experiment_miss(ts, horizon):
+            if first_miss(ts, horizon) is not None:
                 sim_miss += 1
         row = (_format_load(load), args.trials - gen_errors, *counts.values(), sim_miss,
                gen_errors, config.variant.value, config.carry_in_strategy.value)
         lines.append(",".join(map(str, row)))
     _write(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK
-
-
-def _experiment_miss(ts: TaskSystem, horizon: Optional[int]) -> bool:
-    return first_miss(ts, EXPERIMENT_SIM_CAP if horizon is None else horizon) is not None
 
 
 def _format_load(load: Fraction) -> str:

@@ -17,8 +17,9 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # reference_fixed_sum in tests/oracles.py keeps the general bounds), the
 # per-task scan test and outcome step (one scan test per system now
 # evaluates every window), the hyperperiod guard helper (folded into
-# hyperperiod, its only caller) and the per-task window scan (_outcomes
-# checks every first window, then walks).
+# hyperperiod, its only caller), the per-task window scan (_outcomes
+# checks every first window, then walks) and experiment's miss helper
+# (--horizon auto is EXPERIMENT_SIM_CAP from the flag on).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -45,6 +46,7 @@ DELETED = (
     "_task_outcome",
     "_guard_hyperperiod",
     "_first_violation",
+    "_experiment_miss",
 )
 
 

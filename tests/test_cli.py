@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gangsched import cli
-from gangsched.analysis import Certified, Inapplicable, NotProven, analyze
+from gangsched.analysis import Certified, DeltaBound, Inapplicable, NotProven, analyze
 from gangsched.model import parse_task_system, print_task_system
+from gangsched.simulator import simulate_synchronous
 
 from test_analysis import (ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems, record_points,
                            record_walks)
@@ -83,6 +84,34 @@ def test_counterexample_json_facts():
     assert payload["verdicts"]["strict"] == {
         "task": 1, "kind": "not_proven", "witness_delta": 2, "lhs": 2, "rhs": 2,
     }
+
+
+def _no_miss(ts, horizon, stop_on_miss):
+    return replace(simulate_synchronous(ts, horizon, stop_on_miss), first_miss=None)
+
+
+def _two_slots(ts, horizon, stop_on_miss):
+    return simulate_synchronous(ts, 2, stop_on_miss)
+
+
+@pytest.mark.parametrize("name, fake, facts", [
+    ("simulate_synchronous", _no_miss, ["first miss"]),
+    ("simulate_synchronous", _two_slots, ["schedule"]),
+    ("scan_upper_bound", lambda ts, k, strategy: DeltaBound(Fraction(5)),
+     ["scan-interval denominator"]),
+    ("analyze_task", lambda ts, k, config: Certified(k, 2),
+     ["original verdict", "strict verdict"]),
+], ids=["no-miss", "two-slots", "delta-bound", "certified"])
+def test_counterexample_reports_each_deviation_before_any_report(monkeypatch, name, fake,
+                                                                 facts):
+    monkeypatch.setattr(cli, name, fake)
+    code, out, err = main_in_process("counterexample", "--json")
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (1, "", False)
+    assert [p.split(":")[0] for p in payload["problems"]] == facts
+    # Text mode prints the same problems and no part of the report.
+    assert main_in_process("counterexample") == (
+        1, "".join(["FACT MISMATCH:\n", *(f"  {p}\n" for p in payload["problems"])]), "")
 
 
 # --- analyze ----------------------------------------------------------------
@@ -409,6 +438,11 @@ def test_experiment_rejects_invalid_flags_whatever_the_points(tmp_path):
     assert result.returncode == 0
     assert result.stdout == ("utilization,trials,certified,not_proven,inapplicable,"
                              "sim_miss,gen_errors,variant,carry_in\n")
+
+def test_negative_horizon_is_a_one_line_error(cx_file):
+    for argv in (("experiment", "--points", "0"), ("simulate", "--input", cx_file)):
+        assert main_in_process(*argv, "--horizon", "-1") == (
+            1, "", "error: horizon must be >= 0\n")
 
 
 def test_experiment_long_horizon_costs_at_most_one_hyperperiod():

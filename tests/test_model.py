@@ -59,16 +59,19 @@ def test_validate_deadline_exceeds_period():
 def test_validate_rejects_each_violated_constraint():
     good = dict(index=0, width=1, wcet=2, deadline=3, period=4)
     breakers = [
-        dict(width=0),
-        dict(wcet=0),
-        dict(deadline=0, wcet=0),  # keep C <= D from masking D >= 1
-        dict(period=0, deadline=0, wcet=0),
-        dict(wcet=4),  # C > D
-        dict(deadline=5),  # D > T
-        dict(width=3),  # v > m
+        (dict(width=0), "v >= 1 violated"),
+        (dict(wcet=0), "C >= 1 violated"),
+        (dict(deadline=0), "D >= 1 violated"),  # checked before C <= D
+        (dict(period=0), "T >= 1 violated"),  # checked before D <= T
+        (dict(wcet=4), "C <= D violated"),
+        (dict(deadline=5), "D <= T violated"),
+        (dict(width=3), "v <= m violated"),
     ]
-    invalid = [TaskSystem(2, (GangTask(**{**good, **broken}),)) for broken in breakers]
-    invalid += [
+    for broken, constraint in breakers:
+        with pytest.raises(ValidationError) as err:
+            validate(TaskSystem(2, (GangTask(**{**good, **broken}),)))
+        assert err.value.constraint == constraint
+    invalid = [
         TaskSystem(0, (GangTask(**good),)),
         TaskSystem(2, ()),
         TaskSystem(2, (GangTask(**{**good, "index": 1}),)),
@@ -99,16 +102,30 @@ def test_parse_rejects_non_integer():
     with pytest.raises(ParseError) as err:
         parse_task_system("m 3\ntask 2 x 2 2\n")
     assert err.value.line == 2
+    assert str(err.value) == "line 2: not an integer: 'x'"
+    with pytest.raises(ParseError) as err:
+        parse_task_system("m 2\ntask 0 1 1 1\n")
+    assert str(err.value) == "line 2: expected a positive integer, got 0"
 
 
 def test_parse_rejects_bad_keyword():
-    with pytest.raises(ParseError):
-        parse_task_system("m 3\njob 2 1 2 2\n")
+    for text, message in [
+        ("m 3\njob 2 1 2 2\n", "line 2: expected 'task <v> <C> <D> <T>', got 'job'"),
+        ("task 2 1 2 2\n", "line 1: expected 'm <count>', got 'task'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_task_system(text)
+        assert str(err.value) == message
 
 
 def test_parse_rejects_wrong_field_count():
-    with pytest.raises(ParseError):
-        parse_task_system("m 3\ntask 2 1 2\n")
+    for text, message in [
+        ("m 3\ntask 2 1 2\n", "line 2: expected exactly four values after 'task'"),
+        ("m 3 4\n", "line 1: expected exactly one value after 'm'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_task_system(text)
+        assert str(err.value) == message
 
 
 def test_parse_reports_validation_failure_with_line():

@@ -128,6 +128,9 @@ def test_explicit_horizon_guard():
     with pytest.raises(HorizonOverflowError, match=f"^{refused.value}$"):
         first_miss(two_task_system(), horizon=2**48 + 1)
     assert first_miss(two_task_system(), horizon=0) is None
+    for simulate in (simulate_synchronous, first_miss):
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0$"):
+            simulate(two_task_system(), -1)
 
 
 # --- behavioral properties ----------------------------------------------------
