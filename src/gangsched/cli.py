@@ -75,9 +75,9 @@ EXPERIMENT_HEADER = (
 # column only counts misses actually observed.
 EXPERIMENT_SIM_CAP = 2000
 
-# Most slots rendered into one piece of the `simulate` CSV; the memory a
-# traced `simulate` needs for its text grows with this, not with the horizon.
-CSV_CHUNK_SLOTS = 65536
+# Most rows in one piece of the `simulate` CSV (whole slots, at least one):
+# a traced `simulate` holds one piece of text, whatever its horizon or m.
+CSV_CHUNK_ROWS = 2**18
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 
@@ -348,19 +348,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _csv_chunks(runs: Iterable[Run]) -> Iterator[str]:
-    """The CSV rows of `runs`, in pieces of at most CSV_CHUNK_SLOTS slots,
-    one or more per run.
+    """The CSV rows of `runs`, in pieces of whole slots, one or more per
+    run, each of at most max(CSV_CHUNK_ROWS, rows of one slot) rows.
 
     Every slot of a run prints the same rows after its slot number, so a
     slot is one `str(slot).join` over them.  Slots 10q..10q+9 all begin
     with `str(q)` (nothing for q = 0) and one digit, so a whole decade is
-    one `str(q).join` over ten rows per allocated processor.
+    one join over ten rows per allocated processor.
     """
     for start, end, allocation in runs:
         suffixes = [f",{task},{proc}\n" for task, procs in allocation for proc in procs]
         if suffixes:
-            for first in range(start, end, CSV_CHUNK_SLOTS):
-                yield "".join(_slot_rows(first, min(end, first + CSV_CHUNK_SLOTS), suffixes))
+            step = max(1, CSV_CHUNK_ROWS // len(suffixes))
+            for first in range(start, end, step):
+                yield "".join(_slot_rows(first, min(end, first + step), suffixes))
 
 
 def _slot_rows(start: int, stop: int, suffixes: list[str]) -> list[str]:
@@ -372,10 +373,7 @@ def _slot_rows(start: int, stop: int, suffixes: list[str]) -> list[str]:
         return [str(s).join(slot) for s in range(start, stop)]
     decade = ["", *(f"{digit}{suffix}" for digit in range(10) for suffix in suffixes)]
     rows = [str(s).join(slot) for s in range(start, 10 * first)]
-    if first == 0:
-        rows.append("".join(decade))
-        first = 1
-    rows += [q.join(decade) for q in map(str, range(first, last))]
+    rows += [(str(q) if q else "").join(decade) for q in range(first, last)]
     rows += [str(s).join(slot) for s in range(10 * last, stop)]
     return rows
 

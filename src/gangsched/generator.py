@@ -146,13 +146,13 @@ class _Draws:
     """numpy Generator draws, replayed in Python on a bit generator's raw
     64-bit words (PCG64's, in generate_task_system).
 
-    The transforms are numpy's (Lemire's method for bounded integers):
+    The transforms are numpy's:
     - a double takes a whole word w and is (w >> 11) * 2**-53;
     - a 32-bit request takes the low half of a word and keeps the high
       half for the next 32-bit request; doubles leave it alone;
-    - integers(lo, hi) draws on 32-bit halves while the closed span
-      hi - 1 - lo is below 2**32 - 1, takes one half as drawn at 2**32 - 1
-      and whole words above, and rejects as numpy does;
+    - integers(lo, hi) is Lemire's method: no draw for a closed span
+      hi - 1 - lo of 0, 32-bit halves up to 2**32 - 1 (one half as drawn
+      there, as numpy does) and whole words above;
     - a shuffle (and so permutation(n)) is Fisher-Yates from n - 1 down
       to 1, each index drawn by masked rejection on 32-bit halves.
 
@@ -186,26 +186,20 @@ class _Draws:
     def integers(self, low: int, high: int) -> int:
         """integers(low, high) with the default int64 dtype, for
         0 <= low < high <= 2**63 (GenParams keeps m and t_max in range)."""
-        span = high - 1 - low
-        if 0 < span < 0xFFFFFFFF:  # Lemire's method on 32-bit halves
-            excl = span + 1
-            product = self._half_word() * excl
-            if product & 0xFFFFFFFF < excl:
-                threshold = (2**32 - excl) % excl
-                while product & 0xFFFFFFFF < threshold:
-                    product = self._half_word() * excl
-            return low + (product >> 32)
-        if span == 0:
+        excl = high - low
+        if excl == 1:
             return low
-        if span == 0xFFFFFFFF:
-            return low + self._half_word()
-        excl = span + 1  # Lemire's method on whole words
-        product = self._word() * excl
-        if product & (2**64 - 1) < excl:
-            threshold = (2**64 - excl) % excl
-            while product & (2**64 - 1) < threshold:
-                product = self._word() * excl
-        return low + (product >> 64)
+        # An if/else, not a conditional tuple: this is generation's hot path.
+        if excl <= 2**32:
+            draw, bits, mask = self._half_word, 32, 2**32 - 1
+        else:
+            draw, bits, mask = self._word, 64, 2**64 - 1
+        product = draw() * excl
+        if product & mask < excl:
+            threshold = (mask + 1 - excl) % excl
+            while product & mask < threshold:
+                product = draw() * excl
+        return low + (product >> bits)
 
     def shuffle(self, items: list) -> None:
         """shuffle(items) in place, for len(items) <= 2**32: the draws of

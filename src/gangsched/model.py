@@ -146,8 +146,11 @@ def print_task_system(ts: TaskSystem) -> str:
 
 
 def _parse_int(lineno: int, field: str) -> int:
+    digits = field.removeprefix("-")  # ASCII -?[0-9]+; int() alone takes `+5`, `1_0`, `١`
     try:
-        value = int(field, 10)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(field)
+        value = int(field)  # still refuses a field of over 4,300 digits
     except ValueError:
         raise ParseError(lineno, f"not an integer: {field!r}") from None
     if value < 1:

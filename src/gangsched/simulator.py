@@ -104,11 +104,15 @@ def _lcm_up_to(ts: TaskSystem, cap: int) -> int:
     return lcm
 
 
-def _check_horizon(horizon: int) -> None:
+def _horizon(ts: TaskSystem, horizon: Optional[int]) -> int:
+    """horizon checked against the guard, or one hyperperiod for None."""
+    if horizon is None:
+        return hyperperiod(ts)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if horizon > HORIZON_GUARD:
         raise HorizonOverflowError(f"horizon {horizon} exceeds guard {HORIZON_GUARD}")
+    return horizon
 
 
 def simulate_synchronous(
@@ -129,9 +133,7 @@ def simulate_synchronous(
     the schedule continues, tardy jobs keeping their original deadline
     priority, and only the first miss is recorded.
     """
-    if horizon is None:
-        horizon = hyperperiod(ts)
-    _check_horizon(horizon)
+    horizon = _horizon(ts, horizon)
     runs: list[Run] = []
     miss = _simulate(ts, horizon, stop_on_miss, runs)
     return ScheduleTrace(horizon, tuple(runs), miss)
@@ -148,9 +150,7 @@ def first_miss(ts: TaskSystem, horizon: Optional[int] = None) -> Optional[tuple[
     the first min(horizon, lcm) slots.  The lcm is folded task by task
     and stops at the horizon: a partial lcm divides the full one.
     """
-    if horizon is None:
-        horizon = hyperperiod(ts)
-    _check_horizon(horizon)
+    horizon = _horizon(ts, horizon)
     return _simulate(ts, min(horizon, _lcm_up_to(ts, horizon)), True, None)
 
 

@@ -18,8 +18,10 @@ from gangsched import analysis, cli, demand, generator, model, simulator
 # per-task scan test and outcome step (one scan test per system now
 # evaluates every window), the hyperperiod guard helper (folded into
 # hyperperiod, its only caller), the per-task window scan (_outcomes
-# checks every first window, then walks) and experiment's miss helper
-# (--horizon auto is EXPERIMENT_SIM_CAP from the flag on).
+# checks every first window, then walks), experiment's miss helper
+# (--horizon auto is EXPERIMENT_SIM_CAP from the flag on), the horizon
+# check (_horizon also resolves None) and the slot limit of a CSV piece
+# (CSV_CHUNK_ROWS limits its rows).
 DELETED = (
     "AnalysisPoint",
     "interference_rectangle",
@@ -47,6 +49,8 @@ DELETED = (
     "_guard_hyperperiod",
     "_first_violation",
     "_experiment_miss",
+    "_check_horizon",
+    "CSV_CHUNK_SLOTS",
 )
 
 

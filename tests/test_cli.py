@@ -290,9 +290,9 @@ def test_simulate_over_the_horizon_guard_leaves_out_untouched(cx_file, tmp_path)
     ("m 5\ntask 4 1 1 3\ntask 2 1 1 2\n", ("--continue-after-miss",)),
 ])
 def test_simulate_out_and_stdout_bytes_are_identical(tmp_path, monkeypatch, text, flags):
-    # Over 3,000 slots in chunks of 1,000: runs cross chunk, decade and
-    # digit-width boundaries.
-    monkeypatch.setattr(cli, "CSV_CHUNK_SLOTS", 1000)
+    # Over 3,000 slots in pieces of at most 1,000 rows: runs cross piece,
+    # decade and digit-width boundaries.
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
     path, out = tmp_path / "ts.txt", tmp_path / "out.csv"
     path.write_text(text)
     argv = ("simulate", "--input", str(path), "--horizon", "3210", *flags)
@@ -331,16 +331,26 @@ def random_runs(rng: random.Random) -> list:
     return runs
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 13, 64, cli.CSV_CHUNK_SLOTS])
+# Row limits per piece: below, at and above the rows of one slot (1-6),
+# a quarter of the default, and the default.
+@pytest.mark.parametrize("chunk", [1, 7, 13, 64, 65536, cli.CSV_CHUNK_ROWS])
 def test_csv_chunks_match_per_slot_rows(monkeypatch, chunk):
-    monkeypatch.setattr(cli, "CSV_CHUNK_SLOTS", chunk)
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
     rng = random.Random(13 + chunk)
     for _ in range(60):
         runs = random_runs(rng)
         chunks = list(cli._csv_chunks(runs))
         assert "".join(chunks) == reference_rows(runs)
+        last_slot = -1
         for piece in chunks:
-            assert 0 < len({row.split(",")[0] for row in piece.splitlines()}) <= chunk
+            # Whole slots of one run, so every slot has the same rows.
+            rows = piece.splitlines()
+            slots = [int(row.split(",")[0]) for row in rows]
+            assert slots[0] > last_slot
+            last_slot = slots[-1]
+            per_slot = slots.count(slots[0])
+            assert len(rows) == per_slot * len(set(slots))
+            assert len(rows) <= max(chunk, per_slot)
 
 
 def test_csv_chunks_of_a_huge_run_are_bounded():
@@ -353,7 +363,7 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
         from gangsched.simulator import ScheduleTrace
 
         trace = ScheduleTrace(10**12, ((0, 10**12, ((0, (0, 1)), (1, (2,)))),), None)
-        bound = cli.CSV_CHUNK_SLOTS
+        bound = cli.CSV_CHUNK_ROWS // 3  # slots of 3 rows each
         slots = 0
         for chunk in itertools.islice(cli._csv_chunks(trace.runs), 3):
             rows = chunk.splitlines()
@@ -370,7 +380,22 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, preexec_fn=limit_memory, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
-        0, f"{3 * cli.CSV_CHUNK_SLOTS}\n", "")
+        0, f"{3 * (cli.CSV_CHUNK_ROWS // 3)}\n", "")
+
+
+def test_simulate_of_a_wide_gang_stays_in_256_mb(tmp_path):
+    # 1,024 rows per slot: pieces bounded by slots alone held 16.7M rows.
+    path = tmp_path / "wide.txt"
+    path.write_text("m 1024\ntask 1024 1 1 1\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "gangsched", "simulate", "--input", str(path),
+         "--horizon", "16384", "--out", os.devnull],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -36,6 +36,8 @@ def test_hbf_derived_value():
 def test_hbf_rejects_negative_length():
     with pytest.raises(ValueError):
         hbf(TAU1, -1)
+    with pytest.raises(ValueError):
+        hbf_prime(TAU1, -1)
 
 
 def test_hbf_prime_counterexample_value():

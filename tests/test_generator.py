@@ -118,9 +118,10 @@ def generated(draw, params, trial):
 # period.
 DEADLINE_SPANS = [(2**41, x) for x in (0, 2**32 - 1, 2**32, 2**32 + 1, 2**40)] + [
     (2**32, 2**31), (2**53, 2**52)]
-# m - 1 is the closed span of the width draw: 2^62 makes whole-word draws
-# reject about a quarter of the time, and m = 2^63 - 1 is the largest m.
-WIDTH_BOUNDS = [1, 2**32, 2**32 + 1, 2**32 + 2, 2**40 + 1, 2**31 + 1, 2**62 + 1,
+# m - 1 is the closed span of the width draw: 2^62 + 1 makes whole-word
+# draws reject about a quarter of the time (2 of the 8 trials at seed 4),
+# and m = 2^63 - 1 is the largest m.
+WIDTH_BOUNDS = [1, 2**32, 2**32 + 1, 2**32 + 2, 2**40 + 1, 2**31 + 1, 2**62 + 2,
                 2**63 - 1]
 
 
@@ -145,8 +146,34 @@ def differential_params():
     yield GenParams(n=1, m=2, target_load=Fraction(3, 4), seed=5)
 
 
-def test_generated_systems_match_the_numpy_reference():
+class WordCountingDraws(_Draws):
+    """_Draws that records each whole-word integers() draw that rejected,
+    that is, fetched more than one word."""
+
+    rejected: list = []
+
+    def __init__(self, bitgen, block):
+        super().__init__(bitgen, block)
+        word = self._word
+
+        def counted():
+            self.words += 1
+            return word()
+
+        self._word, self.words = counted, 0
+
+    def integers(self, low, high):
+        before = self.words
+        value = super().integers(low, high)
+        if high - low > 2**32 and self.words - before > 1:
+            self.rejected.append((low, high))
+        return value
+
+
+def test_generated_systems_match_the_numpy_reference(monkeypatch):
     # Same TaskSystem, or the same error, as one numpy call per draw.
+    monkeypatch.setattr("gangsched.generator._Draws", WordCountingDraws)
+    monkeypatch.setattr(WordCountingDraws, "rejected", [])
     seen_errors = set()
     for params in differential_params():
         for trial in range(8):
@@ -155,6 +182,7 @@ def test_generated_systems_match_the_numpy_reference():
             if isinstance(ours, tuple):
                 seen_errors.add(ours)
     assert ("GenerationError", "sum 1.5 outside feasible range [0.0, 1.0]") in seen_errors
+    assert (1, 2**62 + 3) in WordCountingDraws.rejected  # the whole-word loop ran
     for period, span in DEADLINE_SPANS:  # the boundary systems reach their spans
         (task,) = generate_task_system(deadline_span_params(period, span), 0).tasks
         assert (task.period, task.period - task.wcet) == (period, span)

@@ -99,10 +99,15 @@ def test_parse_tolerates_comments_and_whitespace():
 
 
 def test_parse_rejects_non_integer():
+    # int() takes `1_0`, `+5` and other scripts' digits; a task file does not.
+    for field in ("x", "1_0", "+5", "\u0661"):
+        with pytest.raises(ParseError) as err:
+            parse_task_system(f"m 3\ntask 2 {field} 2 2\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: not an integer: {field!r}"
     with pytest.raises(ParseError) as err:
-        parse_task_system("m 3\ntask 2 x 2 2\n")
-    assert err.value.line == 2
-    assert str(err.value) == "line 2: not an integer: 'x'"
+        parse_task_system("m 2\ntask 1 -3 1 1\n")
+    assert str(err.value) == "line 2: expected a positive integer, got -3"
     with pytest.raises(ParseError) as err:
         parse_task_system("m 2\ntask 0 1 1 1\n")
     assert str(err.value) == "line 2: expected a positive integer, got 0"
