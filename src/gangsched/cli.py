@@ -47,7 +47,8 @@ from .analysis import (
 )
 from .generator import DeadlineMode, GenParams, GenerationError, generate_task_system
 from .model import TaskSystem, parse_task_system, print_task_system
-from .simulator import HorizonOverflowError, Run, ScheduleTrace, first_miss, simulate_synchronous
+from .simulator import (HorizonOverflowError, Run, ScheduleTrace, SlotAllocation, first_miss,
+                        simulate_synchronous)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -75,8 +76,8 @@ EXPERIMENT_HEADER = (
 # column only counts misses actually observed.
 EXPERIMENT_SIM_CAP = 2000
 
-# Most rows in one piece of the `simulate` CSV (whole slots, at least one):
-# a traced `simulate` holds one piece of text, whatever its horizon or m.
+# Most rows in one piece of the `simulate` CSV: a traced `simulate` holds
+# one piece of text, whatever its horizon or m.
 CSV_CHUNK_ROWS = 2**18
 
 COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
@@ -224,7 +225,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
     # The text report prints only values that these facts verified.
     facts = (
-        ("schedule", trace.slots, (((0, (0, 1)),), ((0, (0, 1)),), ((1, (0, 1)),))),
+        ("schedule", trace.runs, ((0, 2, ((0, 0, 2),)), (2, 3, ((1, 0, 2),)))),
         ("first miss", trace.first_miss, (1, 2)),
         ("rectangle width", width, 1),
         ("rectangle height", height, 2),
@@ -278,10 +279,12 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
               f"deadline={t.deadline} period={t.period}")
     print()
     print("gang EDF simulation (synchronous releases, horizon 3, continuing after miss):")
-    for slot, allocation in enumerate(trace.slots):
-        runs = "  ".join(f"task {task} on processors {','.join(map(str, procs))}"
-                         for task, procs in allocation)
-        print(f"  slot {slot}: {runs}")
+    for start, end, allocation in trace.runs:
+        gangs = "  ".join(f"task {task} on processors "
+                          f"{','.join(map(str, range(first, first + width)))}"
+                          for task, first, width in allocation)
+        for slot in range(start, end):
+            print(f"  slot {slot}: {gangs}")
     print(f"  first deadline miss: task {trace.first_miss[0]} at time {trace.first_miss[1]}")
     print()
     print("interference against task 1 at window length delta=2:")
@@ -348,8 +351,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _csv_chunks(runs: Iterable[Run]) -> Iterator[str]:
-    """The CSV rows of `runs`, in pieces of whole slots, one or more per
-    run, each of at most max(CSV_CHUNK_ROWS, rows of one slot) rows.
+    """The CSV rows of `runs`, in pieces of at most CSV_CHUNK_ROWS rows,
+    one or more per run: whole slots where a slot has no more rows than
+    that, and parts of one slot where it has.
 
     Every slot of a run prints the same rows after its slot number, so a
     slot is one `str(slot).join` over them.  Slots 10q..10q+9 all begin
@@ -357,11 +361,24 @@ def _csv_chunks(runs: Iterable[Run]) -> Iterator[str]:
     one join over ten rows per allocated processor.
     """
     for start, end, allocation in runs:
-        suffixes = [f",{task},{proc}\n" for task, procs in allocation for proc in procs]
-        if suffixes:
-            step = max(1, CSV_CHUNK_ROWS // len(suffixes))
+        rows = sum(width for _, _, width in allocation)
+        if rows:
+            step = max(1, CSV_CHUNK_ROWS // rows)
             for first in range(start, end, step):
-                yield "".join(_slot_rows(first, min(end, first + step), suffixes))
+                for lo in range(0, rows, CSV_CHUNK_ROWS):
+                    yield "".join(_slot_rows(first, min(end, first + step),
+                                             _suffixes(allocation, lo, lo + CSV_CHUNK_ROWS)))
+
+
+def _suffixes(allocation: SlotAllocation, lo: int, hi: int) -> list[str]:
+    """Rows lo..hi-1 of a slot holding `allocation`, after its slot number:
+    one `,task,processor` row per processor, block by block."""
+    suffixes = []
+    for task, first, width in allocation:
+        suffixes += [f",{task},{proc}\n"
+                     for proc in range(first + max(lo, 0), first + min(hi, width))]
+        lo, hi = lo - width, hi - width
+    return suffixes
 
 
 def _slot_rows(start: int, stop: int, suffixes: list[str]) -> list[str]:
@@ -498,8 +515,8 @@ def _trace_json(trace: ScheduleTrace) -> dict:
     return {
         "horizon": trace.horizon,
         "slots": [
-            [[task, list(procs)] for task, procs in allocation]
-            for allocation in trace.slots
+            [[task, list(range(first, first + width))] for task, first, width in allocation]
+            for start, end, allocation in trace.runs for _ in range(start, end)
         ],
         "first_miss": None
         if trace.first_miss is None

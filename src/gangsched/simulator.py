@@ -51,9 +51,10 @@ class HorizonOverflowError(RuntimeError):
     """The requested simulation horizon exceeds the configured guard."""
 
 
-# One slot entry per allocated job: (task index, processors), processors
-# ascending; entries appear in allocation (priority) order.
-SlotAllocation = tuple[tuple[int, tuple[int, ...]], ...]
+# One slot entry per allocated job: (task index, first processor, width),
+# the job's gang being processors first..first+width-1; entries appear in
+# allocation (priority) order, so their blocks ascend from processor 0.
+SlotAllocation = tuple[tuple[int, int, int], ...]
 
 # Slots start..end-1 (half-open) all hold the same allocation.
 Run = tuple[int, int, SlotAllocation]
@@ -191,14 +192,14 @@ def _simulate(
         end = release_at if release_at < horizon else horizon
         if miss is None and active and active[0][0] < end:
             end = active[0][0]
-        allocation: list[tuple[int, tuple[int, ...]]] = []
+        allocation: list[tuple[int, int, int]] = []
         running: list[int] = []  # positions in active
         used = 0
         for pos, job in enumerate(active):
             width = job[2]
             if used + width <= m:
                 if runs is not None:
-                    allocation.append((job[1], tuple(range(used, used + width))))
+                    allocation.append((job[1], used, width))
                 used += width
                 running.append(pos)
                 if now + job[3] < end:

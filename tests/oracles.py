@@ -132,8 +132,9 @@ def reference_trace(ts: TaskSystem, horizon: int, offsets=None):
     Task i first releases at offsets[i] and then every period; the
     default, all offsets 0, is the synchronous scenario.  Steps one unit
     slot at a time and continues after a miss; returns the per-slot
-    allocations and the first miss as (task index, deadline).  Shares no
-    code with the event-driven simulator.
+    allocations, each job as (task index, first processor, width), and
+    the first miss as (task index, deadline).  Shares no code with the
+    event-driven simulator.
     """
     offsets = offsets or (0,) * ts.n
     jobs = []  # [deadline, index, release, remaining, width]
@@ -154,7 +155,7 @@ def reference_trace(ts: TaskSystem, horizon: int, offsets=None):
         allocation = []
         for j in sorted(jobs, key=lambda j: (j[0], j[1], j[2])):
             if j[4] <= ts.processors - next_free:
-                allocation.append((j[1], tuple(range(next_free, next_free + j[4]))))
+                allocation.append((j[1], next_free, j[4]))
                 next_free += j[4]
                 j[3] -= 1
         slots.append(tuple(allocation))

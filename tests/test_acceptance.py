@@ -99,9 +99,9 @@ def test_criterion_1_counterexample_exactness():
 
 def test_criterion_2_counterexample_schedule():
     trace = simulate_synchronous(counterexample_system())
-    blocked_never_runs = all(task != 1 for slot in trace.slots for task, _ in slot)
+    blocked_never_runs = all(task != 1 for slot in trace.slots for task, _, _ in slot)
     ok = (
-        trace.slots == (((0, (0, 1)),), ((0, (0, 1)),))
+        trace.slots == (((0, 0, 2),), ((0, 0, 2),))
         and blocked_never_runs
         and trace.first_miss == (1, 2)
     )

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -288,10 +289,12 @@ def test_simulate_over_the_horizon_guard_leaves_out_untouched(cx_file, tmp_path)
 @pytest.mark.parametrize("text, flags", [
     ("m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n", ()),
     ("m 5\ntask 4 1 1 3\ntask 2 1 1 2\n", ("--continue-after-miss",)),
+    ("m 1500\ntask 700 1 1 1000\ntask 800 1 1 1000\n", ()),
 ])
 def test_simulate_out_and_stdout_bytes_are_identical(tmp_path, monkeypatch, text, flags):
-    # Over 3,000 slots in pieces of at most 1,000 rows: runs cross piece,
-    # decade and digit-width boundaries.
+    # Over 3,000 rows in pieces of at most 1,000 rows: runs cross piece,
+    # decade and digit-width boundaries, and a slot of 1,500 rows is split
+    # inside task 1's block.
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1000)
     path, out = tmp_path / "ts.txt", tmp_path / "out.csv"
     path.write_text(text)
@@ -305,12 +308,13 @@ def test_simulate_out_and_stdout_bytes_are_identical(tmp_path, monkeypatch, text
 def reference_rows(runs) -> str:
     return "".join(f"{slot},{task},{proc}\n"
                    for start, end, allocation in runs for slot in range(start, end)
-                   for task, procs in allocation for proc in procs)
+                   for task, first, width in allocation for proc in range(first, first + width))
 
 
 def random_runs(rng: random.Random) -> list:
-    """Contiguous runs from slot 0 of 1-30 slots, some idle, with gangs on
-    up to 6 processors; long idle runs jump to just before 10^4 and 10^5."""
+    """Contiguous runs from slot 0 of 1-30 slots, some idle, with gangs as
+    disjoint ascending blocks, not always adjacent, on up to 8 processors;
+    long idle runs jump to just before 10^4 and 10^5."""
     runs, now = [], 0
     for lo, hi in ((0, 130), (rng.randint(9_995, 10_005), 10_010),
                    (rng.randint(99_990, 100_010), 100_015)):
@@ -318,21 +322,20 @@ def random_runs(rng: random.Random) -> list:
             runs.append((now, lo, ()))
             now = lo
         while now < hi:
-            procs = list(range(rng.randint(1, 6)))
-            rng.shuffle(procs)
-            allocation = []
-            while procs and rng.random() < 0.9:
-                width = rng.randint(1, len(procs))
-                gang, procs = procs[:width], procs[width:]
-                allocation.append((rng.randint(0, 20), tuple(sorted(gang))))
+            m, free, allocation = rng.randint(1, 8), 0, []
+            while free < m and rng.random() < 0.9:
+                first = rng.randint(free, m - 1)
+                width = rng.randint(1, m - first)
+                allocation.append((rng.randint(0, 20), first, width))
+                free = first + width
             end = now + rng.randint(1, 30)
             runs.append((now, end, tuple(allocation)))
             now = end
     return runs
 
 
-# Row limits per piece: below, at and above the rows of one slot (1-6),
-# a quarter of the default, and the default.
+# Row limits per piece: below, among and above the rows of one slot
+# (1-8), a quarter of the default, and the default.
 @pytest.mark.parametrize("chunk", [1, 7, 13, 64, 65536, cli.CSV_CHUNK_ROWS])
 def test_csv_chunks_match_per_slot_rows(monkeypatch, chunk):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
@@ -340,17 +343,17 @@ def test_csv_chunks_match_per_slot_rows(monkeypatch, chunk):
     for _ in range(60):
         runs = random_runs(rng)
         chunks = list(cli._csv_chunks(runs))
-        assert "".join(chunks) == reference_rows(runs)
-        last_slot = -1
+        expected = reference_rows(runs)
+        assert "".join(chunks) == expected
+        per_slot = collections.Counter(row.split(",")[0] for row in expected.splitlines())
         for piece in chunks:
-            # Whole slots of one run, so every slot has the same rows.
-            rows = piece.splitlines()
-            slots = [int(row.split(",")[0]) for row in rows]
-            assert slots[0] > last_slot
-            last_slot = slots[-1]
-            per_slot = slots.count(slots[0])
-            assert len(rows) == per_slot * len(set(slots))
-            assert len(rows) <= max(chunk, per_slot)
+            rows = collections.Counter(row.split(",")[0] for row in piece.splitlines())
+            assert 0 < sum(rows.values()) <= chunk
+            # Whole slots where a slot fits the limit, else part of one slot.
+            if max(per_slot[slot] for slot in rows) <= chunk:
+                assert all(rows[slot] == per_slot[slot] for slot in rows)
+            else:
+                assert len(rows) == 1
 
 
 def test_csv_chunks_of_a_huge_run_are_bounded():
@@ -362,7 +365,7 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
         from gangsched import cli
         from gangsched.simulator import ScheduleTrace
 
-        trace = ScheduleTrace(10**12, ((0, 10**12, ((0, (0, 1)), (1, (2,)))),), None)
+        trace = ScheduleTrace(10**12, ((0, 10**12, ((0, 0, 2), (1, 2, 1))),), None)
         bound = cli.CSV_CHUNK_ROWS // 3  # slots of 3 rows each
         slots = 0
         for chunk in itertools.islice(cli._csv_chunks(trace.runs), 3):
@@ -385,17 +388,20 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
 
 def test_simulate_of_a_wide_gang_stays_in_256_mb(tmp_path):
     # 1,024 rows per slot: pieces bounded by slots alone held 16.7M rows.
+    # 4M rows in one slot: a tuple of processors per job, or a piece per
+    # slot, held them all.
     path = tmp_path / "wide.txt"
-    path.write_text("m 1024\ntask 1024 1 1 1\n")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "gangsched", "simulate", "--input", str(path),
-         "--horizon", "16384", "--out", os.devnull],
-        capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
-    assert (done.returncode, done.stderr) == (0, "")
+    for m, horizon in ((1024, 16384), (4_000_000, 1)):
+        path.write_text(f"m {m}\ntask {m} 1 1 1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "gangsched", "simulate", "--input", str(path),
+             "--horizon", str(horizon), "--out", os.devnull],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -463,6 +469,12 @@ def test_experiment_rejects_invalid_flags_whatever_the_points(tmp_path):
     assert result.returncode == 0
     assert result.stdout == ("utilization,trials,certified,not_proven,inapplicable,"
                              "sim_miss,gen_errors,variant,carry_in\n")
+
+def test_negative_points_or_trials_is_a_one_line_error():
+    for flag in ("--points", "--trials"):
+        assert main_in_process("experiment", flag, "-1") == (
+            1, "", "error: points and trials must be >= 0\n")
+
 
 def test_negative_horizon_is_a_one_line_error(cx_file):
     for argv in (("experiment", "--points", "0"), ("simulate", "--input", cx_file)):

@@ -63,15 +63,15 @@ def test_hyperperiod_default_guard_trips_on_huge_lcm():
 
 def test_counterexample_schedule_and_miss():
     trace = simulate_synchronous(two_task_system())
-    assert trace.slots == (((0, (0, 1)),), ((0, (0, 1)),))
+    assert trace.slots == (((0, 0, 2),), ((0, 0, 2),))
     assert trace.first_miss == (1, 2)
     # the blocked task is never allocated before the miss
-    assert all(task != 1 for slot in trace.slots for task, _ in slot)
+    assert all(task != 1 for slot in trace.slots for task, _, _ in slot)
 
 
 def test_counterexample_runs_late_when_continuing():
     trace = simulate_synchronous(two_task_system(), horizon=3, stop_on_miss=False)
-    assert trace.slots[2] == ((1, (0, 1)),)
+    assert trace.slots[2] == ((1, 0, 2),)
     assert trace.first_miss == (1, 2)
 
 
@@ -85,14 +85,14 @@ def test_full_width_task_alone():
     ts = TaskSystem(3, (GangTask(0, 3, 1, 2, 2),))
     trace = simulate_synchronous(ts)
     assert trace.first_miss is None
-    assert trace.slots == (((0, (0, 1, 2)),), ())
+    assert trace.slots == (((0, 0, 3),), ())
 
 
 def test_two_unit_tasks_share_first_slot():
     ts = TaskSystem(2, (GangTask(0, 1, 1, 2, 2), GangTask(1, 1, 1, 2, 2)))
     trace = simulate_synchronous(ts)
     assert trace.first_miss is None
-    assert trace.slots[0] == ((0, (0,)), (1, (1,)))
+    assert trace.slots[0] == ((0, 0, 1), (1, 1, 1))
     assert trace.slots[1] == ()
 
 
@@ -102,7 +102,7 @@ def test_saturating_unit_tasks_stay_pinned():
     trace = simulate_synchronous(ts)
     assert trace.first_miss is None
     for slot in trace.slots:
-        assert slot == tuple((i, (i,)) for i in range(m))
+        assert slot == tuple((i, i, 1) for i in range(m))
     assert first_miss(ts) is None
 
 
@@ -153,11 +153,12 @@ def test_allocations_are_legal_every_slot():
         horizon = min(math.lcm(*(t.period for t in ts.tasks)), 80)
         trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         for slot in trace.slots:
-            used = [p for _, procs in slot for p in procs]
-            assert len(used) == len(set(used)) <= ts.processors
-            for task, procs in slot:
-                assert len(procs) == ts.tasks[task].width  # gang rigidity
-                assert procs == tuple(sorted(procs))
+            free = 0  # blocks are disjoint and ascend in allocation order
+            for task, first, width in slot:
+                assert width == ts.tasks[task].width  # gang rigidity
+                assert free <= first
+                free = first + width
+            assert free <= ts.processors
 
 
 def test_executed_work_matches_wcet_on_clean_hyperperiod():
@@ -175,7 +176,7 @@ def test_executed_work_matches_wcet_on_clean_hyperperiod():
             continue
         checked += 1
         for t in ts.tasks:
-            ran = sum(1 for slot in trace.slots for task, _ in slot if task == t.index)
+            ran = sum(1 for slot in trace.slots for task, _, _ in slot if task == t.index)
             assert ran == (h // t.period) * t.wcet
 
 
@@ -203,7 +204,7 @@ def test_first_fit_work_conservation_replay():
                     remaining[t.index] = t.wcet
             live = [t for t in ts.tasks if remaining.get(t.index, 0) > 0]
             order = sorted(live, key=lambda t: (release[t.index] + t.deadline, t.index))
-            allocated = dict(slot)
+            allocated = {task for task, _, _ in slot}
             free = ts.processors
             for t in order:
                 if t.index in allocated:
@@ -214,7 +215,7 @@ def test_first_fit_work_conservation_replay():
                     assert t.width > free
             # priority order is (deadline, index) lexicographic
             ranks = {t.index: pos for pos, t in enumerate(order)}
-            slot_ranks = [ranks[task] for task, _ in slot]
+            slot_ranks = [ranks[task] for task, _, _ in slot]
             assert slot_ranks == sorted(slot_ranks)
 
 
@@ -342,7 +343,8 @@ def reference_csv(ts: TaskSystem, horizon: int, no_trace: bool, stop_on_miss: bo
     if not no_trace:
         lines += [f"{slot},{task},{proc}"
                   for slot, allocation in enumerate(slots)
-                  for task, procs in allocation for proc in procs]
+                  for task, first, width in allocation
+                  for proc in range(first, first + width)]
     if miss is not None:
         lines.append(f"MISS,{miss[0]},{miss[1]}")
     return "\n".join(lines) + "\n"
