@@ -1,34 +1,50 @@
-"""Independent brute-force oracles the analytic formulas are checked against.
+"""The one module test files share, in two parts.
 
-These deliberately avoid the closed forms under test: demand is counted by
-enumerating release patterns and sliding windows over an explicit
-execution timeline.  The scan references keep the plain forms that the
-optimized analysis code replaced: the scan bound in Fraction arithmetic
-and the window scan as one check_condition call per window length.  The
-schedule reference steps the simulator's rules one slot at a time.  The
-generator references draw through numpy's Generator, one call per draw:
-the fixed-sum sampler with general bounds [lo, hi] on a caller's stream,
-and whole task systems on numpy's stream per (seed, trial).
+Independent oracles deliberately avoid the closed forms under test:
+demand is counted by enumerating release patterns and sliding windows
+over an explicit execution timeline.  The scan references keep the plain
+forms that the optimized analysis code replaced: the scan bound in
+Fraction arithmetic and the window scan as one check_condition call per
+window length.  The schedule reference steps the simulator's rules one
+slot at a time.  The generator references draw through numpy's
+Generator, one call per draw: the fixed-sum sampler with general bounds
+[lo, hi] on a caller's stream, and whole task systems on numpy's stream
+per (seed, trial).
+
+Shared inputs and runners: the paper's counterexample, seeded and
+hypothesis drawers of small systems, the analysis configurations, the
+CLI run in a subprocess or in process, and recorders of the scan's work.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import random
+import subprocess
+import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
+from hypothesis import strategies as st
 
+from gangsched import analysis, cli
 from gangsched.analysis import (
     AnalysisConfig,
     CarryInStrategy,
     DeltaBound,
     NoDeltaBound,
+    Variant,
     check_condition,
 )
 from gangsched.generator import DeadlineMode, GenerationError, GenParams, _stafford_table
 from gangsched.model import GangTask, TaskSystem, validate
 
+
+# --- independent oracles ----------------------------------------------------
 
 def brute_hbf(task: GangTask, length: int) -> int:
     """Most time-length demand with release and deadline inside the window.
@@ -162,6 +178,15 @@ def reference_trace(ts: TaskSystem, horizon: int, offsets=None):
     return tuple(slots), first_miss
 
 
+def csv_rows(slots) -> str:
+    """The simulate CSV's slot,task,processor rows of per-slot
+    allocations, from slot 0: one row per processor of each block."""
+    return "".join(f"{slot},{task},{proc}\n"
+                   for slot, allocation in enumerate(slots)
+                   for task, first, width in allocation
+                   for proc in range(first, first + width))
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """numpy's stream for one (seed, trial) pair."""
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -232,3 +257,124 @@ def reference_task_system(params: GenParams, trial: int) -> TaskSystem:
     ts = TaskSystem(processors=params.m, tasks=tuple(tasks))
     validate(ts)
     return ts
+
+
+def _ranks(values) -> list[Fraction]:
+    """1-based ranks, tied values sharing the average of their ranks."""
+    ordered = sorted(values)
+    return [Fraction(bisect_left(ordered, v) + bisect_right(ordered, v) + 1, 2) for v in values]
+
+
+def spearman(xs, ys) -> float:
+    """Spearman's rank correlation: Pearson's correlation of the ranks.
+
+    Ranks and sums are exact Fractions; floats enter only at the final
+    division.
+    """
+    rx, ry = _ranks(xs), _ranks(ys)
+    mean = Fraction(len(xs) + 1, 2)
+    sxy = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
+    sxx = sum((a - mean) ** 2 for a in rx)
+    syy = sum((b - mean) ** 2 for b in ry)
+    if not sxx or not syy:
+        raise ValueError("rank correlation of a constant list is undefined")
+    return float(sxy) / math.sqrt(sxx * syy)
+
+
+# --- shared inputs and runners ----------------------------------------------
+
+# The paper's counterexample, written out independently of
+# gangsched.cli.counterexample_system.
+COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
+
+
+def two_task_system() -> TaskSystem:
+    return TaskSystem(3, (GangTask(0, 2, 2, 2, 2), GangTask(1, 2, 1, 2, 2)))
+
+
+def random_system(rng: random.Random, n_max: int, m_max: int, t_max: int) -> TaskSystem:
+    """Up to n_max constrained tasks on up to m_max processors, periods
+    up to t_max."""
+    m = rng.randint(1, m_max)
+    tasks = []
+    for i in range(rng.randint(1, n_max)):
+        period = rng.randint(1, t_max)
+        wcet = rng.randint(1, period)
+        deadline = rng.randint(wcet, period)
+        tasks.append(GangTask(i, rng.randint(1, m), wcet, deadline, period))
+    return TaskSystem(m, tuple(tasks))
+
+
+@st.composite
+def small_systems(draw, m_max: int, t_max: st.SearchStrategy[int]):
+    """Up to 5 constrained tasks on up to m_max processors, periods up to
+    a t_max drawn from its strategy."""
+    m = draw(st.integers(1, m_max))
+    longest = draw(t_max)
+    tasks = []
+    for i in range(draw(st.integers(1, 5))):
+        period = draw(st.integers(1, longest))
+        wcet = draw(st.integers(1, period))
+        deadline = draw(st.integers(wcet, period))
+        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
+    return TaskSystem(m, tuple(tasks))
+
+
+def outcome_systems() -> st.SearchStrategy[TaskSystem]:
+    """Small systems; overloaded ones have undefined scan intervals."""
+    return small_systems(6, st.sampled_from([4, 12, 40]))
+
+
+ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
+STRICT = AnalysisConfig(variant=Variant.STRICT)
+ALL_CONFIGS = tuple(AnalysisConfig(variant=v, carry_in_strategy=c)
+                    for v in Variant for c in CarryInStrategy)
+
+# Strict, delta_cap 4: both intervals are undefined, with denominator
+# -13/14; task 0's is refuted and task 1's scan (D_1 = 6 > 4) is clean.
+REFUTED_THEN_CLEAN = TaskSystem(4, (GangTask(0, 3, 3, 4, 4), GangTask(1, 3, 5, 6, 7)))
+
+
+def record_points(monkeypatch) -> list:
+    """Every window length the scan evaluates, in order."""
+    points = []
+    scan_test = analysis._scan_test
+
+    def recording_test(ts, config):
+        violated = scan_test(ts, config)
+
+        def recording(k, delta):
+            points.append(delta)
+            return violated(k, delta)
+
+        return recording
+
+    monkeypatch.setattr(analysis, "_scan_test", recording_test)
+    return points
+
+
+def record_walks(monkeypatch) -> list:
+    """The task of every breakpoint walk, in call order."""
+    walks = []
+    walk = analysis._walk
+
+    def recording(ts, k, violated, held, hi):
+        walks.append(k)
+        return walk(ts, k, violated, held, hi)
+
+    monkeypatch.setattr(analysis, "_walk", recording)
+    return walks
+
+
+def run_cli(*args, timeout=120):
+    """Run the CLI in a subprocess; a hung command fails on the timeout."""
+    return subprocess.run([sys.executable, "-m", "gangsched", *args],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def main_in_process(*args: str) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()

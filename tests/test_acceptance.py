@@ -7,21 +7,15 @@ lines inline.
 import csv
 import json
 import math
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
-from scipy.stats import spearmanr
-
 from gangsched.analysis import (
-    AnalysisConfig,
     CarryInStrategy,
     Certified,
     Inapplicable,
     NoDeltaBound,
     NotProven,
-    Variant,
     analyze,
     analyze_task,
     check_condition,
@@ -34,17 +28,8 @@ from gangsched.generator import DeadlineMode, GenParams, generate_task_system
 from gangsched.model import GangTask, TaskSystem, parse_task_system, print_task_system
 from gangsched.simulator import first_miss, simulate_synchronous
 
-from oracles import (
-    brute_hbf,
-    brute_hbf_prime,
-    scalar_carry_bound,
-    scalar_no_carry_bound,
-)
-
-ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
-STRICT = AnalysisConfig(variant=Variant.STRICT)
-
-COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
+from oracles import (COUNTEREXAMPLE_TEXT, ORIGINAL, STRICT, brute_hbf, brute_hbf_prime, run_cli,
+                     scalar_carry_bound, scalar_no_carry_bound, spearman)
 
 
 def test_counterexample_system_matches_its_text():
@@ -54,14 +39,6 @@ def test_counterexample_system_matches_its_text():
 def report(number: int, description: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {description}")
     assert ok, f"criterion {number}: {description}"
-
-
-def run_cli(*args):
-    """Run the CLI in a subprocess; a hung command fails on the timeout."""
-    return subprocess.run(
-        [sys.executable, "-m", "gangsched", *args], capture_output=True, text=True,
-        timeout=120,
-    )
 
 
 def test_criterion_1_counterexample_exactness():
@@ -121,7 +98,7 @@ def test_criterion_3_applicability_experiment(tmp_path):
         rows = list(csv.DictReader(handle))
     loads = [float(Fraction(r["utilization"])) for r in rows]
     fracs = [int(r["inapplicable"]) / int(r["trials"]) for r in rows]
-    rho = spearmanr(loads, fracs).statistic
+    rho = spearman(loads, fracs)
     ok = (
         len(rows) == 20
         and all(int(r["trials"]) == 300 for r in rows)

@@ -32,28 +32,9 @@ from gangsched.analysis import (
 )
 from gangsched.model import GangTask, TaskSystem
 
-from oracles import dense_first_violation, fraction_scan_upper_bound, reference_trace
-
-ORIGINAL = AnalysisConfig(variant=Variant.ORIGINAL)
-STRICT = AnalysisConfig(variant=Variant.STRICT)
-ALL_CONFIGS = tuple(AnalysisConfig(variant=v, carry_in_strategy=c)
-                    for v in Variant for c in CarryInStrategy)
-
-
-def two_task_system() -> TaskSystem:
-    return TaskSystem(3, (GangTask(0, 2, 2, 2, 2), GangTask(1, 2, 1, 2, 2)))
-
-
-def random_system(rng: random.Random, n_max: int = 6, m_max: int = 5,
-                  t_max: int = 20) -> TaskSystem:
-    m = rng.randint(1, m_max)
-    tasks = []
-    for i in range(rng.randint(1, n_max)):
-        period = rng.randint(1, t_max)
-        wcet = rng.randint(1, period)
-        deadline = rng.randint(wcet, period)
-        tasks.append(GangTask(i, rng.randint(1, m), wcet, deadline, period))
-    return TaskSystem(m, tuple(tasks))
+from oracles import (ALL_CONFIGS, ORIGINAL, REFUTED_THEN_CLEAN, STRICT, dense_first_violation,
+                     fraction_scan_upper_bound, outcome_systems, random_system, record_points,
+                     record_walks, reference_trace, small_systems, two_task_system)
 
 
 # --- interference rectangle -------------------------------------------------
@@ -128,7 +109,7 @@ def test_with_carry_zero_when_rectangle_width_zero():
 def test_bounds_nonnegative_and_ordered_on_random_points():
     rng = random.Random(7)
     for _ in range(300):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         k = rng.randrange(ts.n)
         delta = ts.tasks[k].deadline + rng.randint(0, 40)
         width = delta - ts.tasks[k].wcet
@@ -150,7 +131,7 @@ def random_carry_points(seed: int, count: int = 200):
     rng = random.Random(seed)
     all_tasks = AnalysisConfig(carry_in_strategy=CarryInStrategy.ALL_TASKS)
     for _ in range(count):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         k = rng.randrange(ts.n)
         delta = ts.tasks[k].deadline + rng.randint(0, 30)
         height = ts.processors - ts.tasks[k].width + 1
@@ -212,7 +193,7 @@ def test_condition_holds_with_empty_interference():
 def test_strict_holding_implies_original_holding():
     rng = random.Random(9)
     for _ in range(400):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         k = rng.randrange(ts.n)
         delta = ts.tasks[k].deadline + rng.randint(0, 25)
         if check_condition(ts, k, delta, STRICT)[0]:
@@ -443,7 +424,7 @@ def test_full_width_single_task_certified_under_strict():
 def test_system_verdict_is_conjunction_of_task_verdicts():
     rng = random.Random(10)
     for _ in range(60):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         for config in (ORIGINAL, STRICT):
             verdict = analyze(ts, config)
             assert verdict.schedulable == all(
@@ -475,7 +456,7 @@ def test_strict_certification_implies_original_certification():
     rng = random.Random(12)
     seen = 0
     for _ in range(400):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         strict = analyze(ts, STRICT)
         if strict.schedulable:
             seen += 1
@@ -494,9 +475,6 @@ def guard_system() -> TaskSystem:
 
 # Strict: task 1's undefined interval is refuted and task 0 is certified.
 REFUTED_AND_CERTIFIED = TaskSystem(3, (GangTask(0, 1, 1, 4, 4), GangTask(1, 2, 2, 2, 2)))
-# Strict, delta_cap 4: both intervals are undefined; task 0's is refuted
-# and task 1's scan (D_1 = 6 > 4) is clean.
-REFUTED_THEN_CLEAN = TaskSystem(4, (GangTask(0, 3, 3, 4, 4), GangTask(1, 3, 5, 6, 7)))
 # Strict, delta_cap 2: task 0 is violated and task 1's undefined interval
 # has a clean (empty) scan.
 VIOLATED_THEN_CLEAN = TaskSystem(3, (GangTask(0, 1, 2, 2, 2), GangTask(1, 3, 2, 6, 8)))
@@ -509,20 +487,6 @@ def outcome_class_of(ts: TaskSystem, config: AnalysisConfig, fast: bool) -> str:
         return system_outcome(ts, config) if fast else analyze(ts, config).outcome_class
     except ScanGuardError as err:
         return f"ScanGuardError: {err}"
-
-
-@st.composite
-def outcome_systems(draw):
-    """Small systems; overloaded ones have undefined scan intervals."""
-    m = draw(st.integers(1, 6))
-    t_max = draw(st.sampled_from([4, 12, 40]))
-    tasks = []
-    for i in range(draw(st.integers(1, 5))):
-        period = draw(st.integers(1, t_max))
-        wcet = draw(st.integers(1, period))
-        deadline = draw(st.integers(wcet, period))
-        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
-    return TaskSystem(m, tuple(tasks))
 
 
 @settings(max_examples=200, deadline=None)
@@ -572,19 +536,6 @@ def test_system_outcome_raises_the_scan_guard_error_of_analyze():
         got = outcome_class_of(ts, config, True)
         assert got.startswith("ScanGuardError: task 0: scan over 333335000000 window")
         assert got == outcome_class_of(ts, config, False)
-
-
-def record_walks(monkeypatch) -> list:
-    """The task of every breakpoint walk, in call order."""
-    walks = []
-    walk = analysis._walk
-
-    def recording(ts, k, violated, held, hi):
-        walks.append(k)
-        return walk(ts, k, violated, held, hi)
-
-    monkeypatch.setattr(analysis, "_walk", recording)
-    return walks
 
 
 @pytest.mark.parametrize("ts, config, want, points, walks", [
@@ -680,7 +631,7 @@ def scan_witness(ts: TaskSystem, k: int, lo: int, hi: int,
 def test_first_violation_matches_dense_scan_on_random_systems():
     rng = random.Random(13)
     for _ in range(30):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         k = rng.randrange(ts.n)
         lo = ts.tasks[k].deadline
         hi = lo + 300
@@ -712,15 +663,7 @@ def scan_cases(draw):
     Few tasks and long periods leave long segments between breakpoints,
     where the first violation is found by bisection.
     """
-    m = draw(st.integers(1, 8))
-    t_max = draw(st.sampled_from([4, 16, 40, 300]))
-    tasks = []
-    for i in range(draw(st.integers(1, 5))):
-        period = draw(st.integers(1, t_max))
-        wcet = draw(st.integers(1, period))
-        deadline = draw(st.integers(wcet, period))
-        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
-    ts = TaskSystem(m, tuple(tasks))
+    ts = draw(small_systems(8, st.sampled_from([4, 16, 40, 300])))
     k = draw(st.integers(0, ts.n - 1))
     lo = ts.tasks[k].deadline + draw(st.one_of(st.just(0), st.integers(0, 400)))
     return ts, k, lo, lo + draw(st.integers(0, 400))
@@ -728,6 +671,7 @@ def scan_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(scan_cases())
+# lo sits 0, 63, 64, 65 and 191 windows before task 0's violation at 2000.
 @example((late_violation_system(1000), 0, 2000, 2400))
 @example((late_violation_system(1000), 0, 1937, 2337))
 @example((late_violation_system(1000), 0, 1936, 2336))
@@ -765,7 +709,7 @@ def test_first_violation_matches_dense_scan(case):
 def test_first_violation_is_independent_of_the_scan_end():
     rng = random.Random(14)
     for _ in range(10):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         k = rng.randrange(ts.n)
         lo = ts.tasks[k].deadline
         assert first_violation(ts, k, lo, lo + 20, STRICT) == first_violation(
@@ -781,7 +725,7 @@ def test_not_proven_lhs_rhs_are_check_condition_at_the_witness(whole_system):
     rng = random.Random(16)
     seen = 0
     for _ in range(60):
-        ts = random_system(rng)
+        ts = random_system(rng, 6, 5, 20)
         for config in ALL_CONFIGS:
             if whole_system:
                 outcomes = analyze(ts, config).per_task
@@ -801,7 +745,7 @@ def test_verdicts_never_call_check_condition(monkeypatch):
     # The scan alone decides every verdict and reports lhs and rhs.
     rng = random.Random(18)
     systems = [two_task_system(), late_violation_system(1000)]
-    systems += [random_system(rng) for _ in range(40)]
+    systems += [random_system(rng, 6, 5, 20) for _ in range(40)]
     runs = []
 
     def refuse(*args):
@@ -952,42 +896,6 @@ def test_scan_with_periods_of_1e15_and_more_matches_dense_scan():
     assert wide >= 20 and seen >= 20 and not_proven >= 10
 
 
-@pytest.mark.parametrize("offset", [0, 63, 64, 65, 191])
-def test_first_violation_offset_from_the_scan_start_matches_dense_scan(offset):
-    period = 1000
-    ts = late_violation_system(period)
-    lo = 2 * period - offset
-    hi = lo + 400
-    assert dense_first_violation(ts, 0, lo, hi, ORIGINAL) == lo + offset
-    for config in (
-        ORIGINAL,
-        STRICT,
-        AnalysisConfig(variant=Variant.ORIGINAL,
-                       carry_in_strategy=CarryInStrategy.ALL_TASKS),
-    ):
-        assert scan_witness(ts, 0, lo, hi, config) == dense_first_violation(
-            ts, 0, lo, hi, config
-        )
-
-
-def record_points(monkeypatch) -> list:
-    """Every window length the scan evaluates, in order."""
-    points = []
-    scan_test = analysis._scan_test
-
-    def recording_test(ts, config):
-        violated = scan_test(ts, config)
-
-        def recording(k, delta):
-            points.append(delta)
-            return violated(k, delta)
-
-        return recording
-
-    monkeypatch.setattr(analysis, "_scan_test", recording_test)
-    return points
-
-
 def breakpoints(ts: TaskSystem, k: int, lo: int, hi: int) -> set:
     """The breakpoints of task k's scan in [lo, hi]: D_i + j*T_i,
     j*T_i + C_i and j*C_i + C_k for j <= floor(hi/T_i) + 1."""
@@ -1001,7 +909,7 @@ def breakpoints(ts: TaskSystem, k: int, lo: int, hi: int) -> set:
     return found
 
 
-def test_first_window_witness_evaluates_only_the_first_block(monkeypatch):
+def test_first_window_witness_evaluates_only_the_first_window(monkeypatch):
     points = record_points(monkeypatch)
     period = 1000
     ts = late_violation_system(period)
@@ -1024,7 +932,7 @@ def test_integer_scan_catches_rational_violations():
     # fractional window length must show at an adjacent integer
     rng = random.Random(15)
     for _ in range(25):
-        ts = random_system(rng, t_max=10)
+        ts = random_system(rng, 6, 5, 10)
         k = rng.randrange(ts.n)
         first = ts.tasks[k].deadline
         for config in (ORIGINAL, STRICT):

@@ -1,7 +1,5 @@
 import collections
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
@@ -22,22 +20,10 @@ from gangsched.analysis import Certified, DeltaBound, Inapplicable, NotProven, a
 from gangsched.model import parse_task_system, print_task_system
 from gangsched.simulator import simulate_synchronous
 
-from test_analysis import (ALL_CONFIGS, REFUTED_THEN_CLEAN, outcome_systems, record_points,
-                           record_walks)
+from oracles import (ALL_CONFIGS, COUNTEREXAMPLE_TEXT, REFUTED_THEN_CLEAN, csv_rows,
+                     main_in_process, outcome_systems, record_points, record_walks, run_cli)
 
-COUNTEREXAMPLE_TEXT = "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
-
-
-def run_cli(*args, cwd=None, timeout=120):
-    """Run the CLI in a subprocess; a hung command fails on the timeout."""
-    return subprocess.run(
-        [sys.executable, "-m", "gangsched", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=timeout,
-    )
 
 
 @pytest.fixture
@@ -306,9 +292,8 @@ def test_simulate_out_and_stdout_bytes_are_identical(tmp_path, monkeypatch, text
 
 
 def reference_rows(runs) -> str:
-    return "".join(f"{slot},{task},{proc}\n"
-                   for start, end, allocation in runs for slot in range(start, end)
-                   for task, first, width in allocation for proc in range(first, first + width))
+    """csv_rows of runs that tile the slots from 0, expanded into slots."""
+    return csv_rows(allocation for start, end, allocation in runs for _ in range(start, end))
 
 
 def random_runs(rng: random.Random) -> list:
@@ -540,13 +525,6 @@ EXPERIMENT_FLAG_SETS = (
 )
 
 
-def main_in_process(*args: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(args))
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_experiment_bytes_match_a_run_on_analyze(monkeypatch):
     def runs():
         return [main_in_process("experiment", "--seed", "5", *flags)
@@ -770,8 +748,8 @@ GOLDEN_FILES = {
     "m5.txt": "m 5\ntask 4 1 1 3\ntask 2 1 1 2\n",
     "clean.txt": "m 3\ntask 1 1 2 2\ntask 2 1 3 3\n",
     "late.txt": "m 1\ntask 1 1 1 1\ntask 1 1 2 2\n",
-    # test_analysis.REFUTED_THEN_CLEAN: both scan intervals are undefined,
-    # with denominator -13/14.
+    # oracles.REFUTED_THEN_CLEAN: both scan intervals are undefined, with
+    # denominator -13/14.
     "refuted.txt": "m 4\ntask 3 3 4 4\ntask 3 5 6 7\n",
 }
 

@@ -14,15 +14,7 @@ from gangsched.model import (
     validate,
 )
 
-
-def two_task_system() -> TaskSystem:
-    return TaskSystem(
-        processors=3,
-        tasks=(
-            GangTask(0, 2, 2, 2, 2),
-            GangTask(1, 2, 1, 2, 2),
-        ),
-    )
+from oracles import COUNTEREXAMPLE_TEXT, random_system, two_task_system
 
 
 def test_utilization_full_task():
@@ -141,7 +133,7 @@ def test_parse_reports_validation_failure_with_line():
 
 
 def test_print_canonical_form():
-    assert print_task_system(two_task_system()) == "m 3\ntask 2 2 2 2\ntask 2 1 2 2\n"
+    assert print_task_system(two_task_system()) == COUNTEREXAMPLE_TEXT
 
 
 def test_print_single_task_two_lines():
@@ -149,21 +141,10 @@ def test_print_single_task_two_lines():
     assert print_task_system(ts) == "m 2\ntask 1 1 2 3\n"
 
 
-def random_system(rng: random.Random) -> TaskSystem:
-    m = rng.randint(1, 6)
-    tasks = []
-    for i in range(rng.randint(1, 8)):
-        period = rng.randint(1, 30)
-        wcet = rng.randint(1, period)
-        deadline = rng.randint(wcet, period)
-        tasks.append(GangTask(i, rng.randint(1, m), wcet, deadline, period))
-    return TaskSystem(m, tuple(tasks))
-
-
 def test_parse_print_round_trip_random():
     rng = random.Random(20240901)
     for _ in range(300):
-        ts = random_system(rng)
+        ts = random_system(rng, 8, 6, 30)
         assert parse_task_system(print_task_system(ts)) == ts
 
 

@@ -14,23 +14,7 @@ from gangsched.simulator import (
     simulate_synchronous,
 )
 
-from oracles import reference_trace
-
-
-def two_task_system() -> TaskSystem:
-    return TaskSystem(3, (GangTask(0, 2, 2, 2, 2), GangTask(1, 2, 1, 2, 2)))
-
-
-def random_system(rng: random.Random, n_max: int = 5, m_max: int = 4,
-                  t_max: int = 8) -> TaskSystem:
-    m = rng.randint(1, m_max)
-    tasks = []
-    for i in range(rng.randint(1, n_max)):
-        period = rng.randint(1, t_max)
-        wcet = rng.randint(1, period)
-        deadline = rng.randint(wcet, period)
-        tasks.append(GangTask(i, rng.randint(1, m), wcet, deadline, period))
-    return TaskSystem(m, tuple(tasks))
+from oracles import csv_rows, random_system, reference_trace, small_systems, two_task_system
 
 
 # --- hyperperiod -------------------------------------------------------------
@@ -138,7 +122,7 @@ def test_explicit_horizon_guard():
 def test_matches_independent_reference_simulation():
     rng = random.Random(31)
     for _ in range(150):
-        ts = random_system(rng)
+        ts = random_system(rng, 5, 4, 8)
         horizon = min(math.lcm(*(t.period for t in ts.tasks)) * 2, 100)
         trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         ref_slots, ref_miss = reference_trace(ts, horizon)
@@ -149,7 +133,7 @@ def test_matches_independent_reference_simulation():
 def test_allocations_are_legal_every_slot():
     rng = random.Random(32)
     for _ in range(150):
-        ts = random_system(rng)
+        ts = random_system(rng, 5, 4, 8)
         horizon = min(math.lcm(*(t.period for t in ts.tasks)), 80)
         trace = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         for slot in trace.slots:
@@ -167,7 +151,7 @@ def test_executed_work_matches_wcet_on_clean_hyperperiod():
     rng = random.Random(33)
     checked = 0
     while checked < 40:
-        ts = random_system(rng)
+        ts = random_system(rng, 5, 4, 8)
         h = math.lcm(*(t.period for t in ts.tasks))
         if h > 200:
             continue
@@ -186,7 +170,7 @@ def test_first_fit_work_conservation_replay():
     rng = random.Random(34)
     checked = 0
     while checked < 40:
-        ts = random_system(rng)
+        ts = random_system(rng, 5, 4, 8)
         h = math.lcm(*(t.period for t in ts.tasks))
         if h > 150:
             continue
@@ -222,7 +206,7 @@ def test_first_fit_work_conservation_replay():
 def test_determinism():
     rng = random.Random(35)
     for _ in range(30):
-        ts = random_system(rng)
+        ts = random_system(rng, 5, 4, 8)
         horizon = min(math.lcm(*(t.period for t in ts.tasks)), 60)
         first = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
         second = simulate_synchronous(ts, horizon=horizon, stop_on_miss=False)
@@ -243,19 +227,13 @@ def assert_canonical_runs(trace, length: int) -> None:
 
 @st.composite
 def simulated_systems(draw):
-    m = draw(st.integers(1, 8))
-    tasks = []
-    for i in range(draw(st.integers(1, 5))):
-        period = draw(st.integers(1, 10**4))
-        wcet = draw(st.integers(1, period))
-        deadline = draw(st.integers(wcet, period))
-        tasks.append(GangTask(i, draw(st.integers(1, m)), wcet, deadline, period))
+    ts = draw(small_systems(8, st.just(10**4)))
     # The reference costs O(horizon * unfinished jobs), and an overloaded
     # system run past its miss piles up jobs without bound, so the horizon
     # is capped at about 2,000 released jobs; with long periods it still
     # reaches 2e4 slots.
-    jobs_cap = int(2000 / sum(1 / t.period for t in tasks))
-    return TaskSystem(m, tuple(tasks)), draw(st.integers(0, min(2 * 10**4, jobs_cap)))
+    jobs_cap = int(2000 / sum(1 / t.period for t in ts.tasks))
+    return ts, draw(st.integers(0, min(2 * 10**4, jobs_cap)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -339,15 +317,8 @@ def reference_csv(ts: TaskSystem, horizon: int, no_trace: bool, stop_on_miss: bo
     slots, miss = reference_trace(ts, horizon)
     if stop_on_miss and miss is not None:
         slots = slots[: miss[1]]
-    lines = ["slot,task,processor"]
-    if not no_trace:
-        lines += [f"{slot},{task},{proc}"
-                  for slot, allocation in enumerate(slots)
-                  for task, first, width in allocation
-                  for proc in range(first, first + width)]
-    if miss is not None:
-        lines.append(f"MISS,{miss[0]},{miss[1]}")
-    return "\n".join(lines) + "\n"
+    rows = "slot,task,processor\n" + ("" if no_trace else csv_rows(slots))
+    return rows if miss is None else rows + f"MISS,{miss[0]},{miss[1]}\n"
 
 
 def test_simulate_csv_bytes_match_reference_rows(tmp_path):
@@ -355,7 +326,7 @@ def test_simulate_csv_bytes_match_reference_rows(tmp_path):
     source = tmp_path / "ts.txt"
     out = tmp_path / "out.csv"
     for _ in range(40):
-        ts = random_system(rng, m_max=6, t_max=30)
+        ts = random_system(rng, 5, 6, 30)
         source.write_text(print_task_system(ts))
         horizon = rng.randint(0, 120)
         for no_trace in (False, True):
