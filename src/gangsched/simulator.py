@@ -20,11 +20,12 @@ be executed at once, subtracting its length from each running job's
 remaining work.  Deadlines are events too while no miss has been
 recorded, because a miss is detected at the slot boundary where a
 deadline passes with work remaining; they never change the allocation.
-Work is therefore proportional to the number of releases, completions
-and deadlines, not to the horizon, and so is the memory of the
-run-length trace.  `first_miss` runs the same event loop without
-building allocations or runs, for callers that only ask whether a miss
-occurs.
+Releases come from a heap of every task's next release time, so each
+costs O(log n) there and no event scans every task.  Work therefore
+follows the releases, completions and deadlines, not the horizon, and
+so does the memory of the run-length trace.  `first_miss` runs the
+same event loop without building allocations or runs, for callers
+that only ask whether a miss occurs.
 
 The synchronous periodic arrival sequence (all tasks release at 0 and
 every period thereafter) is one legal sporadic scenario, so a deadline
@@ -36,6 +37,7 @@ sporadic arrival sequences.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -164,8 +166,12 @@ def _simulate(
     """The event loop: returns the first miss and, unless `runs` is None,
     appends the canonical runs of the schedule to it."""
     m = ts.processors
-    next_release = [0] * ts.n
-    release_at = 0  # min(next_release)
+    tasks = ts.tasks
+    # (next release, task position) per task, a heap: its top is the next
+    # release, and equal times pop in task order.  release_at is the top's
+    # time, or the horizon when there is no task.
+    releases = [(0, pos) for pos in range(ts.n)]
+    release_at = 0
     # Unfinished released jobs as [deadline, task index, width, remaining],
     # kept sorted: list order is EDF order, since no two jobs share both a
     # deadline and a task index.
@@ -174,11 +180,12 @@ def _simulate(
     now = 0
     while True:
         if now == release_at:
-            for t in ts.tasks:
-                if next_release[t.index] == now:
-                    bisect.insort(active, [now + t.deadline, t.index, t.width, t.wcet])
-                    next_release[t.index] = now + t.period
-            release_at = min(next_release, default=horizon)
+            while releases and releases[0][0] == now:
+                pos = releases[0][1]
+                t = tasks[pos]
+                bisect.insort(active, [now + t.deadline, t.index, t.width, t.wcet])
+                heapq.heapreplace(releases, (now + t.period, pos))
+            release_at = releases[0][0] if releases else horizon
         if miss is None and active and active[0][0] <= now:
             miss = (active[0][1], active[0][0])
             if stop_on_miss:
@@ -193,23 +200,23 @@ def _simulate(
         if miss is None and active and active[0][0] < end:
             end = active[0][0]
         allocation: list[tuple[int, int, int]] = []
-        running: list[int] = []  # positions in active
+        running: list[list[int]] = []
         used = 0
-        for pos, job in enumerate(active):
+        for job in active:
             width = job[2]
             if used + width <= m:
                 if runs is not None:
                     allocation.append((job[1], used, width))
                 used += width
-                running.append(pos)
+                running.append(job)
                 if now + job[3] < end:
                     end = now + job[3]
                 if used == m:
                     break  # no job fits on a full platform
-        for pos in reversed(running):
-            active[pos][3] -= end - now
-            if active[pos][3] == 0:
-                del active[pos]
+        for job in running:
+            job[3] -= end - now
+            if job[3] == 0:
+                active.remove(job)
 
         if runs is not None:
             slot = tuple(allocation)

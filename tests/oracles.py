@@ -21,7 +21,9 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import random
+import resource
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -366,10 +368,23 @@ def record_walks(monkeypatch) -> list:
     return walks
 
 
+def run_python(*args, memory=None, timeout=120):
+    """Run the interpreter with args in a subprocess with one BLAS thread,
+    under an address-space limit of `memory` bytes when one is given, so
+    that a runaway allocation fails fast instead of taking the machine's
+    memory; a hung command fails on the timeout."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          preexec_fn=None if memory is None else limit_memory,
+                          timeout=timeout)
+
+
 def run_cli(*args, timeout=120):
     """Run the CLI in a subprocess; a hung command fails on the timeout."""
-    return subprocess.run([sys.executable, "-m", "gangsched", *args],
-                          capture_output=True, text=True, timeout=timeout)
+    return run_python("-m", "gangsched", *args, timeout=timeout)
 
 
 def main_in_process(*args: str) -> tuple[int, str, str]:

@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 import textwrap
@@ -21,7 +20,8 @@ from gangsched.model import parse_task_system, print_task_system
 from gangsched.simulator import simulate_synchronous
 
 from oracles import (ALL_CONFIGS, COUNTEREXAMPLE_TEXT, REFUTED_THEN_CLEAN, csv_rows,
-                     main_in_process, outcome_systems, record_points, record_walks, run_cli)
+                     main_in_process, outcome_systems, record_points, record_walks, run_cli,
+                     run_python)
 
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
 
@@ -360,13 +360,7 @@ def test_csv_chunks_of_a_huge_run_are_bounded():
             slots += bound
         print(slots)
     """)
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, preexec_fn=limit_memory, timeout=60)
+    done = run_python("-c", script, memory=2**30, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
         0, f"{3 * (cli.CSV_CHUNK_ROWS // 3)}\n", "")
 
@@ -376,16 +370,11 @@ def test_simulate_of_a_wide_gang_stays_in_256_mb(tmp_path):
     # 4M rows in one slot: a tuple of processors per job, or a piece per
     # slot, held them all.
     path = tmp_path / "wide.txt"
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
     for m, horizon in ((1024, 16384), (4_000_000, 1)):
         path.write_text(f"m {m}\ntask {m} 1 1 1\n")
-        done = subprocess.run(
-            [sys.executable, "-m", "gangsched", "simulate", "--input", str(path),
-             "--horizon", str(horizon), "--out", os.devnull],
-            capture_output=True, text=True, preexec_fn=limit_memory, timeout=120)
+        done = run_python("-m", "gangsched", "simulate", "--input", str(path),
+                          "--horizon", str(horizon), "--out", os.devnull,
+                          memory=2**28, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")
 
 
@@ -673,14 +662,8 @@ def test_gen_of_many_tasks_on_few_processors_runs_in_bounded_memory(tmp_path):
     # one column per level, where an n-wide table would hold 4 * 10^8
     # entries.  Run under a 1 GiB address-space limit, so that such a table
     # fails fast instead of taking the machine's memory.
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-m", "gangsched", "gen", "--n", "20000", "--m", "2",
-         "--load", "0.1", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+    done = run_python("-m", "gangsched", "gen", "--n", "20000", "--m", "2",
+                      "--load", "0.1", "--out", str(tmp_path), memory=2**30, timeout=120)
     path = tmp_path / "ts_0_0.txt"
     assert (done.returncode, done.stdout, done.stderr) == (0, f"{path}\n", "")
     text = path.read_text()
@@ -710,8 +693,7 @@ def test_only_the_drawing_commands_import_numpy(cx_file):
         print(codes, "numpy" in sys.modules)
         print(run("experiment", "--points", "1", "--trials", "1"), "numpy" in sys.modules)
     """)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60)
+    done = run_python("-c", script, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "[2, 2, 2, 0] False\n0 True\n", "")
 

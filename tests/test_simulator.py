@@ -1,5 +1,6 @@
 import math
 import random
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from gangsched.simulator import (
     simulate_synchronous,
 )
 
-from oracles import csv_rows, random_system, reference_trace, small_systems, two_task_system
+from oracles import (csv_rows, random_system, reference_trace, run_python, small_systems,
+                     two_task_system)
 
 
 # --- hyperperiod -------------------------------------------------------------
@@ -99,6 +101,14 @@ def test_zero_horizon_trace_is_empty():
     trace = simulate_synchronous(two_task_system(), horizon=0)
     assert trace.slots == ()
     assert trace.first_miss is None
+
+
+def test_empty_system_idles_to_the_horizon():
+    # An unvalidated system with no tasks has no release at all.
+    ts = TaskSystem(2, ())
+    assert simulate_synchronous(ts, 5).runs == ((0, 5, ()),)
+    assert first_miss(ts, 5) is None
+    assert first_miss(ts) is None
 
 
 def test_auto_horizon_is_hyperperiod():
@@ -241,6 +251,9 @@ def simulated_systems(draw):
 @example((two_task_system(), 5))
 @example((TaskSystem(3, tuple(GangTask(i, 1, 4, 4, 4) for i in range(3))), 12))
 @example((TaskSystem(3, tuple(GangTask(i, 1, 4, 4, 4) for i in range(3))), 400))
+# Four tasks release together with equal deadlines: the task index breaks
+# the tie, and task 2 misses at 3.
+@example((TaskSystem(2, tuple(GangTask(i, 1, 2, 3, 3) for i in range(4))), 12))
 def test_event_driven_simulation_matches_slot_reference(case):
     ts, horizon = case
     ref_slots, ref_miss = reference_trace(ts, horizon)
@@ -371,3 +384,28 @@ def test_simulate_no_trace_over_a_billion_slots(tmp_path):
                      "--continue-after-miss", "--no-trace", "--out", str(out)])
     assert code == 2
     assert out.read_text() == f"slot,task,processor\nMISS,2,{6 * 10**7}\n"
+
+
+def test_releases_of_many_distinct_periods_cost_log_n_each(tmp_path):
+    # 40,000 tasks with distinct periods release at 40,000 distinct
+    # instants after 0.  Scanning every task at each release instant is
+    # O(n^2): one such first_miss took 90 s on a 2-core Xeon, where this
+    # whole script takes 1.2 s with a heap of next release times.  The
+    # timeout sits 9x below the one and 8x above the other.
+    n = 40_000
+    source = tmp_path / "many.txt"
+    source.write_text(f"m {n}\n" + "".join(f"task 1 1 {10**6 + i} {10**6 + i}\n"
+                                           for i in range(n)))
+    script = textwrap.dedent(f"""
+        from gangsched import cli
+        from gangsched.model import parse_task_system
+        from gangsched.simulator import first_miss
+
+        with open({str(source)!r}) as f:
+            print(first_miss(parse_task_system(f.read()), 2 * 10**6))
+        print(cli.main(["simulate", "--input", {str(source)!r}, "--horizon", "2000000",
+                        "--no-trace"]))
+    """)
+    done = run_python("-c", script, memory=2**30, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "None\nslot,task,processor\n0\n", "")
