@@ -13,7 +13,8 @@ per (seed, trial).
 
 Shared inputs and runners: the paper's counterexample, seeded and
 hypothesis drawers of small systems, the analysis configurations, the
-CLI run in a subprocess or in process, and recorders of the scan's work.
+guard and dense systems with periods of 10^6, the CLI run in a
+subprocess or in process, and recorders of the scan's work.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from gangsched.analysis import (
     check_condition,
 )
 from gangsched.generator import DeadlineMode, GenerationError, GenParams, _stafford_table
-from gangsched.model import GangTask, TaskSystem, validate
+from gangsched.model import GangTask, TaskSystem, parse_task_system, validate
 
 
 # --- independent oracles ----------------------------------------------------
@@ -335,6 +336,17 @@ ALL_CONFIGS = tuple(AnalysisConfig(variant=v, carry_in_strategy=c)
 # Strict, delta_cap 4: both intervals are undefined, with denominator
 # -13/14; task 0's is refuted and task 1's scan (D_1 = 6 > 4) is clean.
 REFUTED_THEN_CLEAN = TaskSystem(4, (GangTask(0, 3, 3, 4, 4), GangTask(1, 3, 5, 6, 7)))
+
+# Task 0's scan bound has a tiny positive denominator, so its scan runs to
+# about 3.3e11 windows, over SCAN_GUARD; task 1's scan interval is
+# undefined (denominator 0).
+GUARD_TEXT = "m 4\ntask 1 1 1000000 1000000\ntask 4 999999 999999 1000000\n"
+GUARD_SYSTEM = parse_task_system(GUARD_TEXT)
+# Strict: task 0 is certified by a scan of about 25.7M windows and task 1
+# (C_1 = D_1) is violated at its first window.  Its trace is one
+# 4-processor run.
+DENSE_TEXT = "m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n"
+DENSE_SYSTEM = parse_task_system(DENSE_TEXT)
 
 
 def record_points(monkeypatch) -> list:

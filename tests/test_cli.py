@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,9 +20,9 @@ from gangsched.analysis import Certified, DeltaBound, Inapplicable, NotProven, a
 from gangsched.model import parse_task_system, print_task_system
 from gangsched.simulator import simulate_synchronous
 
-from oracles import (ALL_CONFIGS, COUNTEREXAMPLE_TEXT, REFUTED_THEN_CLEAN, csv_rows,
-                     main_in_process, outcome_systems, record_points, record_walks, run_cli,
-                     run_python)
+from oracles import (ALL_CONFIGS, COUNTEREXAMPLE_TEXT, DENSE_TEXT, GUARD_TEXT, REFUTED_THEN_CLEAN,
+                     csv_rows, main_in_process, outcome_systems, record_points, record_walks,
+                     run_cli, run_python)
 
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
 
@@ -145,7 +146,7 @@ def test_analyze_missing_file():
 def test_analyze_scan_over_guard_is_a_one_line_error(tmp_path):
     # Near-zero positive denominator: task 0's scan runs to about 3.3e11.
     path = tmp_path / "guard.txt"
-    path.write_text("m 4\ntask 1 1 1000000 1000000\ntask 4 999999 999999 1000000\n")
+    path.write_text(GUARD_TEXT)
     for flags in ((), ("--json",)):
         result = run_cli("analyze", "--input", str(path), *flags)
         assert result.returncode == 1
@@ -273,7 +274,7 @@ def test_simulate_over_the_horizon_guard_leaves_out_untouched(cx_file, tmp_path)
 
 
 @pytest.mark.parametrize("text, flags", [
-    ("m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n", ()),
+    (DENSE_TEXT, ()),
     ("m 5\ntask 4 1 1 3\ntask 2 1 1 2\n", ("--continue-after-miss",)),
     ("m 1500\ntask 700 1 1 1000\ntask 800 1 1 1000\n", ()),
 ])
@@ -299,10 +300,22 @@ def reference_rows(runs) -> str:
 def random_runs(rng: random.Random) -> list:
     """Contiguous runs from slot 0 of 1-30 slots, some idle, with gangs as
     disjoint ascending blocks, not always adjacent, on up to 8 processors;
-    long idle runs jump to just before 10^4 and 10^5."""
-    runs, now = [], 0
+    long idle runs jump to just before 10^4 and 10^5.  In a third of the
+    calls one run of 1,000-3,000 slots, in place of the short runs it
+    overlaps, starts at slot 0 or inside century 0 or crosses 10^3, 10^4 or
+    10^5, so that it holds up to 30 whole centuries past century 0,
+    sometimes fewer than the century join needs."""
+    start, length = math.inf, 0
+    if rng.random() < 1 / 3:
+        length = rng.randint(1_000, 3_000)
+        edge = rng.choice((1, 100, 10**3, 10**4, 10**5))
+        start = edge - rng.randint(1, min(edge, length - 1))
+    stretches = [(start, start + length, True)]
     for lo, hi in ((0, 130), (rng.randint(9_995, 10_005), 10_010),
                    (rng.randint(99_990, 100_010), 100_015)):
+        stretches += [(lo, min(hi, start), False), (max(lo, start + length), hi, False)]
+    runs, now = [], 0
+    for lo, hi, long in sorted(s for s in stretches if s[0] < s[1]):
         if now < lo:
             runs.append((now, lo, ()))
             now = lo
@@ -313,7 +326,7 @@ def random_runs(rng: random.Random) -> list:
                 width = rng.randint(1, m - first)
                 allocation.append((rng.randint(0, 20), first, width))
                 free = first + width
-            end = now + rng.randint(1, 30)
+            end = hi if long else min(hi, now + rng.randint(1, 30))
             runs.append((now, end, tuple(allocation)))
             now = end
     return runs
@@ -725,8 +738,8 @@ def test_the_cached_parser_gives_the_bytes_of_a_fresh_process(cx_file, capsys, m
 
 GOLDEN_FILES = {
     "cx.txt": COUNTEREXAMPLE_TEXT,
-    "dense.txt": "m 4\ntask 1 1 1000000 1000000\ntask 4 990000 990000 1000000\n",
-    "guard.txt": "m 4\ntask 1 1 1000000 1000000\ntask 4 999999 999999 1000000\n",
+    "dense.txt": DENSE_TEXT,
+    "guard.txt": GUARD_TEXT,
     "m5.txt": "m 5\ntask 4 1 1 3\ntask 2 1 1 2\n",
     "clean.txt": "m 3\ntask 1 1 2 2\ntask 2 1 3 3\n",
     "late.txt": "m 1\ntask 1 1 1 1\ntask 1 1 2 2\n",
