@@ -423,7 +423,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.points < 0 or args.trials < 0:
         raise ValueError("points and trials must be >= 0")
     config = _config_from(args)
-    load_max = _parse_fraction(args.load_max)
+    load_max = _parse_fraction("--load-max", args.load_max)
     if not (0 < load_max <= 1):
         raise ValueError("load-max must be in (0, 1]")
     # Checked once so that invalid flags fail even with no points or trials.
@@ -465,7 +465,7 @@ def _format_load(load: Fraction) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    params = _gen_params(args, _parse_fraction(args.load))
+    params = _gen_params(args, _parse_fraction("--load", args.load))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -489,15 +489,20 @@ def _load_system(path: str) -> TaskSystem:
     return parse_task_system(text)
 
 
-def _parse_fraction(value: str) -> Fraction:
+def _parse_fraction(flag: str, value: str) -> Fraction:
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        raise ValueError(f"{flag} must be a fraction such as 0.5 or 3/5, got {value!r}") from None
 
 
 def _parse_horizon(value: str) -> int:
-    horizon = int(value)
+    try:
+        horizon = int(value)
+    except ValueError:
+        raise ValueError(f"--horizon must be 'auto' or an integer, got {value!r}") from None
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     return horizon

@@ -13,8 +13,9 @@ per (seed, trial).
 
 Shared inputs and runners: the paper's counterexample, seeded and
 hypothesis drawers of small systems, the analysis configurations, the
-guard and dense systems with periods of 10^6, the CLI run in a
-subprocess or in process, and recorders of the scan's work.
+guard and dense systems with periods of 10^6, the CLI run in process,
+the interpreter run in a subprocess for the tests whose subject is the
+process itself, and recorders of the scan's work.
 """
 
 from __future__ import annotations
@@ -392,11 +393,6 @@ def run_python(*args, memory=None, timeout=120):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           preexec_fn=None if memory is None else limit_memory,
                           timeout=timeout)
-
-
-def run_cli(*args, timeout=120):
-    """Run the CLI in a subprocess; a hung command fails on the timeout."""
-    return run_python("-m", "gangsched", *args, timeout=timeout)
 
 
 def main_in_process(*args: str) -> tuple[int, str, str]:

@@ -28,8 +28,9 @@ from gangsched.generator import DeadlineMode, GenParams, generate_task_system
 from gangsched.model import GangTask, TaskSystem, parse_task_system, print_task_system
 from gangsched.simulator import first_miss, simulate_synchronous
 
-from oracles import (COUNTEREXAMPLE_TEXT, ORIGINAL, STRICT, brute_hbf, brute_hbf_prime, run_cli,
-                     scalar_carry_bound, scalar_no_carry_bound, spearman)
+from oracles import (COUNTEREXAMPLE_TEXT, ORIGINAL, STRICT, brute_hbf, brute_hbf_prime,
+                     main_in_process, run_python, scalar_carry_bound, scalar_no_carry_bound,
+                     spearman)
 
 
 def test_counterexample_system_matches_its_text():
@@ -49,9 +50,9 @@ def test_criterion_1_counterexample_exactness():
     verdict_strict = analyze_task(ts, 1, STRICT)
 
     start = time.perf_counter()
-    proc = run_cli("counterexample")
+    code, _, _ = main_in_process("counterexample")
     elapsed = time.perf_counter() - start
-    facts = json.loads(run_cli("counterexample", "--json").stdout)
+    facts = json.loads(main_in_process("counterexample", "--json")[1])
     rectangle = facts["interference"]["width"], facts["interference"]["height"]
 
     ok = (
@@ -68,7 +69,7 @@ def test_criterion_1_counterexample_exactness():
         == Inapplicable(task_index=1, denominator=Fraction(-1), scanned_up_to=None)
         and isinstance(verdict_strict, NotProven)
         and verdict_strict.witness_delta == 2
-        and proc.returncode == 0
+        and code == 0
         and elapsed < 1.0
     )
     report(1, "counterexample reproduces every published value exactly", ok)
@@ -226,14 +227,18 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
         ("experiment", "--n", "4", "--m", "3", "--points", "4", "--trials", "5",
          "--seed", "3", "--t-min", "4", "--t-max", "12", "--horizon", "40"),
     ]
+    # Each run is a fresh `python -m gangsched` process: the bytes must not
+    # depend on anything a process sets up.
     stable = True
     for command in commands:
-        first, second = run_cli(*command), run_cli(*command)
+        first = run_python("-m", "gangsched", *command)
+        second = run_python("-m", "gangsched", *command)
         stable = stable and first.stdout == second.stdout
         stable = stable and first.returncode == second.returncode
     for out_dir in (gen_dir_a, gen_dir_b):
-        run_cli("gen", "--n", "3", "--m", "3", "--load", "0.5", "--seed", "5",
-                "--count", "3", "--t-min", "4", "--t-max", "12", "--out", str(out_dir))
+        run_python("-m", "gangsched", "gen", "--n", "3", "--m", "3", "--load", "0.5",
+                   "--seed", "5", "--count", "3", "--t-min", "4", "--t-max", "12",
+                   "--out", str(out_dir))
     for name in ("ts_5_0.txt", "ts_5_1.txt", "ts_5_2.txt"):
         stable = stable and (
             (gen_dir_a / name).read_bytes() == (gen_dir_b / name).read_bytes()

@@ -19,6 +19,7 @@ from gangsched.analysis import (
     NoDeltaBound,
     NotProven,
     SCAN_GUARD,
+    SYSTEM_SCHEDULABLE,
     ScanGuardError,
     Variant,
     _scan_ranges,
@@ -956,3 +957,75 @@ def test_integer_scan_catches_rational_violations():
                     below = check_condition(ts, k, math.floor(delta), config)[0]
                     above = check_condition(ts, k, math.ceil(delta), config)[0]
                     assert not (below and above)
+
+
+# --- sustainability ---------------------------------------------------------
+#
+# A sustainable test keeps certifying a system that becomes easier (Burns
+# and Baruah, RTSS 2006; Baker and Baruah, ECRTS 2009).  T_i + 1 is left
+# out until the scan bound counts carry-in area (see the xfail witnesses
+# above), since a certification it loses rests on a scan that ends early.
+
+def with_task(ts: TaskSystem, i: int, **changes) -> TaskSystem:
+    return replace(ts, tasks=tuple(replace(t, **changes) if t.index == i else t
+                                   for t in ts.tasks))
+
+
+def easier_systems(ts: TaskSystem):
+    """ts with one task's wcet one less, its deadline one more (up to its
+    period), or the task dropped and the rest re-indexed."""
+    for t in ts.tasks:
+        if t.wcet > 1:
+            yield with_task(ts, t.index, wcet=t.wcet - 1)
+        if t.deadline < t.period:
+            yield with_task(ts, t.index, deadline=t.deadline + 1)
+        if ts.n > 1:
+            rest = (u for u in ts.tasks if u.index != t.index)
+            yield replace(ts, tasks=tuple(replace(u, index=j) for j, u in enumerate(rest)))
+
+
+def wider_platforms(ts: TaskSystem):
+    """ts on one more processor, or with one gang one processor narrower."""
+    yield replace(ts, processors=ts.processors + 1)
+    for t in ts.tasks:
+        if t.width > 1:
+            yield with_task(ts, t.index, width=t.width - 1)
+
+
+def certified(ts: TaskSystem, config: AnalysisConfig) -> bool:
+    return system_outcome(ts, config) == SYSTEM_SCHEDULABLE
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(5, st.integers(1, 20)))
+def test_an_easier_task_keeps_every_certification(ts):
+    for config in ALL_CONFIGS:
+        if certified(ts, config):
+            for easier in easier_systems(ts):
+                assert certified(easier, config), (easier, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(5, st.integers(1, 20)))
+def test_a_wider_platform_keeps_an_all_tasks_certification(ts):
+    for variant in Variant:
+        config = AnalysisConfig(variant, CarryInStrategy.ALL_TASKS)
+        if certified(ts, config):
+            for wider in wider_platforms(ts):
+                assert certified(wider, config), (wider, config)
+
+
+@pytest.mark.parametrize("ts, wider, outcomes", [
+    # Full-width task 0 has h_0 = 1 on m 3, so top admits no carry-in
+    # against it; on m 4, h_0 = 2 admits task 1's.
+    (TaskSystem(3, (GangTask(0, 3, 2, 3, 25), GangTask(1, 2, 5, 11, 28))),
+     TaskSystem(4, (GangTask(0, 3, 2, 3, 25), GangTask(1, 2, 5, 11, 28))),
+     (NotProven(0, 3, 2, 2), Certified(1, 14))),
+    # Task 1 narrowed from the full 4 processors to 3: h_1 goes from 1 to 2.
+    (TaskSystem(4, (GangTask(0, 4, 5, 8, 11), GangTask(1, 4, 1, 5, 10))),
+     TaskSystem(4, (GangTask(0, 4, 5, 8, 11), GangTask(1, 3, 1, 5, 10))),
+     (Certified(0, 16), NotProven(1, 5, 8, 8))),
+], ids=["m+1", "v-1"])
+def test_top_can_lose_a_certification_on_a_wider_platform(ts, wider, outcomes):
+    assert analyze(ts, STRICT).schedulable
+    assert analyze(wider, STRICT).per_task == outcomes

@@ -77,6 +77,8 @@ def test_names_the_benchmark_harness_uses_resolve():
         assert callable(getattr(cli, name)), name
     for name in ("GangTask", "TaskSystem", "parse_task_system"):
         assert callable(getattr(model, name)), name
+    # perfbench/spans.py reads the slots of every traced simulation.
+    assert hasattr(simulator.ScheduleTrace(0, (), None), "slots")
 
 
 def test_not_proven_holds_what_the_scan_found():

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gangsched import cli
+from gangsched import cli, simulator
 from gangsched.analysis import Certified, DeltaBound, Inapplicable, NotProven, analyze
 from gangsched.model import parse_task_system, print_task_system
 from gangsched.simulator import simulate_synchronous
 
 from oracles import (ALL_CONFIGS, COUNTEREXAMPLE_TEXT, DENSE_TEXT, GUARD_TEXT, REFUTED_THEN_CLEAN,
                      csv_rows, main_in_process, outcome_systems, record_points, record_walks,
-                     run_cli, run_python)
+                     run_python)
 
 SINGLE_OK_TEXT = "m 2\ntask 1 1 2 4\n"
 
@@ -44,24 +44,17 @@ def ok_file(tmp_path):
 # --- counterexample ---------------------------------------------------------
 
 def test_counterexample_reproduces_and_exits_zero():
-    result = run_cli("counterexample")
-    assert result.returncode == 0
-    assert "all facts reproduced exactly: OK" in result.stdout
-    assert "first deadline miss: task 1 at time 2" in result.stdout
-    assert "denominator = -1" in result.stdout
-
-
-def test_counterexample_is_byte_stable():
-    first = run_cli("counterexample")
-    second = run_cli("counterexample")
-    assert first.stdout == second.stdout
-    assert first.returncode == second.returncode == 0
+    code, out, _ = main_in_process("counterexample")
+    assert code == 0
+    assert "all facts reproduced exactly: OK" in out
+    assert "first deadline miss: task 1 at time 2" in out
+    assert "denominator = -1" in out
 
 
 def test_counterexample_json_facts():
-    result = run_cli("counterexample", "--json")
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
+    code, out, _ = main_in_process("counterexample", "--json")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["simulation"]["first_miss"] == {"task": 1, "deadline": 2}
     assert payload["interference"]["no_carry_in"] == [2, 0]
@@ -105,27 +98,27 @@ def test_counterexample_reports_each_deviation_before_any_report(monkeypatch, na
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_original_reports_inapplicable(cx_file):
-    result = run_cli("analyze", "--input", cx_file, "--variant", "original")
-    assert result.returncode == 3
-    assert "denominator -1" in result.stdout
-    assert "INAPPLICABLE" in result.stdout
+    code, out, _ = main_in_process("analyze", "--input", cx_file, "--variant", "original")
+    assert code == 3
+    assert "denominator -1" in out
+    assert "INAPPLICABLE" in out
 
 
 def test_analyze_strict_reports_witness(cx_file):
-    result = run_cli("analyze", "--input", cx_file, "--variant", "strict")
-    assert result.returncode == 2
-    assert "witness delta=2" in result.stdout
+    code, out, _ = main_in_process("analyze", "--input", cx_file, "--variant", "strict")
+    assert code == 2
+    assert "witness delta=2" in out
 
 
 def test_analyze_certifies_light_task(ok_file):
-    result = run_cli("analyze", "--input", ok_file, "--variant", "strict")
-    assert result.returncode == 0
-    assert "SCHEDULABLE" in result.stdout
+    code, out, _ = main_in_process("analyze", "--input", ok_file, "--variant", "strict")
+    assert code == 0
+    assert "SCHEDULABLE" in out
 
 
 def test_analyze_json(cx_file):
-    result = run_cli("analyze", "--input", cx_file, "--variant", "original", "--json")
-    payload = json.loads(result.stdout)
+    _, out, _ = main_in_process("analyze", "--input", cx_file, "--variant", "original", "--json")
+    payload = json.loads(out)
     assert payload["outcome"] == "inapplicable"
     assert payload["tasks"][1]["denominator"] == "-1"
 
@@ -133,14 +126,14 @@ def test_analyze_json(cx_file):
 def test_analyze_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("m 3\ntask 2 9 2 2\n")  # wcet > deadline
-    result = run_cli("analyze", "--input", str(bad))
-    assert result.returncode == 1
-    assert result.stderr.strip()
+    code, _, err = main_in_process("analyze", "--input", str(bad))
+    assert code == 1
+    assert err.strip()
 
 
 def test_analyze_missing_file():
-    result = run_cli("analyze", "--input", "/nonexistent/x.txt")
-    assert result.returncode == 1
+    code, _, _ = main_in_process("analyze", "--input", "/nonexistent/x.txt")
+    assert code == 1
 
 
 def test_analyze_scan_over_guard_is_a_one_line_error(tmp_path):
@@ -148,11 +141,11 @@ def test_analyze_scan_over_guard_is_a_one_line_error(tmp_path):
     path = tmp_path / "guard.txt"
     path.write_text(GUARD_TEXT)
     for flags in ((), ("--json",)):
-        result = run_cli("analyze", "--input", str(path), *flags)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.splitlines()
+        code, out, err = main_in_process("analyze", "--input", str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "exceeds guard" in lines[0]
 
@@ -191,52 +184,65 @@ def test_analyze_json_rebuilds_the_outcomes_of_analyze(tmp_path, ts, delta_cap):
 # --- simulate ---------------------------------------------------------------
 
 def test_simulate_emits_trace_and_miss_trailer(cx_file):
-    result = run_cli("simulate", "--input", cx_file)
-    assert result.returncode == 2
-    lines = result.stdout.splitlines()
+    code, out, _ = main_in_process("simulate", "--input", cx_file)
+    assert code == 2
+    lines = out.splitlines()
     assert lines[0] == "slot,task,processor"
     assert lines[1:5] == ["0,0,0", "0,0,1", "1,0,0", "1,0,1"]
     assert lines[-1] == "MISS,1,2"
 
 
 def test_simulate_clean_system_exits_zero(ok_file):
-    result = run_cli("simulate", "--input", ok_file)
-    assert result.returncode == 0
-    assert "MISS" not in result.stdout
-    assert "0,0,0" in result.stdout.splitlines()
+    code, out, _ = main_in_process("simulate", "--input", ok_file)
+    assert code == 0
+    assert "MISS" not in out
+    assert "0,0,0" in out.splitlines()
 
 
 def test_simulate_zero_horizon(cx_file):
-    result = run_cli("simulate", "--input", cx_file, "--horizon", "0")
-    assert result.returncode == 0
-    assert result.stdout == "slot,task,processor\n"
+    code, out, _ = main_in_process("simulate", "--input", cx_file, "--horizon", "0")
+    assert code == 0
+    assert out == "slot,task,processor\n"
 
 
 def test_simulate_no_trace_keeps_trailer(cx_file):
-    result = run_cli("simulate", "--input", cx_file, "--no-trace")
-    assert result.stdout == "slot,task,processor\nMISS,1,2\n"
+    _, out, _ = main_in_process("simulate", "--input", cx_file, "--no-trace")
+    assert out == "slot,task,processor\nMISS,1,2\n"
 
 
 def test_simulate_continue_after_miss(cx_file):
-    result = run_cli("simulate", "--input", cx_file, "--horizon", "3",
-                     "--continue-after-miss")
-    lines = result.stdout.splitlines()
+    _, out, _ = main_in_process("simulate", "--input", cx_file, "--horizon", "3",
+                                "--continue-after-miss")
+    lines = out.splitlines()
     assert "2,1,0" in lines and "2,1,1" in lines  # late run of task 1
     assert lines[-1] == "MISS,1,2"
+
+
+def simulate_at_most(monkeypatch, slots: int) -> None:
+    """Make every simulation of more than `slots` slots fail before its
+    first slot."""
+    simulate = simulator._simulate
+
+    def bounded(ts, horizon, stop_on_miss, runs):
+        assert horizon <= slots, f"asked to simulate {horizon} slots"
+        return simulate(ts, horizon, stop_on_miss, runs)
+
+    monkeypatch.setattr(simulator, "_simulate", bounded)
 
 
 @pytest.mark.parametrize("text, code, stdout", [
     ("m 3\ntask 1 1 2 2\ntask 2 1 3 3\n", 0, "slot,task,processor\n"),
     ("m 1\ntask 1 1 1 1\ntask 1 1 2 2\n", 2, "slot,task,processor\nMISS,1,2\n"),
 ])
-def test_simulate_no_trace_costs_at_most_one_hyperperiod(tmp_path, text, code, stdout):
+def test_simulate_no_trace_costs_at_most_one_hyperperiod(tmp_path, monkeypatch, text, code,
+                                                          stdout):
     # A horizon of 10^11 slots over an lcm of 6 (or 2): only the first
     # hyperperiod is simulated, also when asked to continue after a miss.
     path = tmp_path / "ts.txt"
     path.write_text(text)
-    result = run_cli("simulate", "--input", str(path), "--horizon", "100000000000",
-                     "--no-trace", "--continue-after-miss", timeout=30)
-    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
+    simulate_at_most(monkeypatch, math.lcm(*(t.period for t in parse_task_system(text).tasks)))
+    assert main_in_process("simulate", "--input", str(path), "--horizon", "100000000000",
+                           "--no-trace", "--continue-after-miss") == (code, stdout, "")
 
 
 def test_simulate_no_trace_over_the_horizon_guard_is_still_an_error(cx_file):
@@ -418,8 +424,8 @@ def test_experiment_csv_shape_and_determinism(tmp_path):
     out2 = tmp_path / "b.csv"
     args = ["experiment", "--n", "4", "--m", "3", "--points", "4", "--trials", "5",
             "--seed", "11", "--t-min", "4", "--t-max", "12", "--horizon", "40"]
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2)).returncode == 0
+    assert main_in_process(*args, "--out", str(out1))[0] == 0
+    assert main_in_process(*args, "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0] == ("utilization,trials,certified,not_proven,inapplicable,"
@@ -435,8 +441,9 @@ def test_experiment_csv_shape_and_determinism(tmp_path):
 
 def test_experiment_zero_trials_header_only(tmp_path):
     out = tmp_path / "empty.csv"
-    result = run_cli("experiment", "--points", "3", "--trials", "0", "--out", str(out))
-    assert result.returncode == 0
+    code, _, _ = main_in_process("experiment", "--points", "3", "--trials", "0",
+                                 "--out", str(out))
+    assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # header + 3 all-zero rows
     assert all(row.split(",")[1] == "0" for row in lines[1:])
@@ -447,15 +454,16 @@ def test_experiment_rejects_invalid_flags_whatever_the_points(tmp_path):
     for bad in (("--n", "0", "--m", "0", "--t-min", "0"), ("--horizon", "-5"),
                 ("--trials", "0", "--horizon", "abc")):
         for points in ("0", "2"):
-            result = run_cli("experiment", "--points", points, *bad, "--out", str(out))
-            assert result.returncode == 1
-            lines = result.stderr.splitlines()
+            code, _, err = main_in_process("experiment", "--points", points, *bad,
+                                           "--out", str(out))
+            assert code == 1
+            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert not out.exists()
-    result = run_cli("experiment", "--points", "0")
-    assert result.returncode == 0
-    assert result.stdout == ("utilization,trials,certified,not_proven,inapplicable,"
-                             "sim_miss,gen_errors,variant,carry_in\n")
+    code, out, _ = main_in_process("experiment", "--points", "0")
+    assert code == 0
+    assert out == ("utilization,trials,certified,not_proven,inapplicable,"
+                   "sim_miss,gen_errors,variant,carry_in\n")
 
 def test_negative_points_or_trials_is_a_one_line_error():
     for flag in ("--points", "--trials"):
@@ -469,15 +477,16 @@ def test_negative_horizon_is_a_one_line_error(cx_file):
             1, "", "error: horizon must be >= 0\n")
 
 
-def test_experiment_long_horizon_costs_at_most_one_hyperperiod():
+def test_experiment_long_horizon_costs_at_most_one_hyperperiod(monkeypatch):
     # Periods 2-3, so an lcm of at most 6: a horizon of 10^11 slots gives
     # the CSV of a horizon of 1000, without simulating 10^11 slots.
+    simulate_at_most(monkeypatch, 6)
     args = ("experiment", "--n", "2", "--m", "2", "--points", "1", "--trials", "1",
             "--t-min", "2", "--t-max", "3", "--load-max", "0.2", "--horizon")
-    long = run_cli(*args, "100000000000", timeout=30)
-    short = run_cli(*args, "1000")
-    assert (long.returncode, long.stderr) == (0, "")
-    assert long.stdout == short.stdout
+    long_code, long_out, long_err = main_in_process(*args, "100000000000")
+    _, short_out, _ = main_in_process(*args, "1000")
+    assert (long_code, long_err) == (0, "")
+    assert long_out == short_out
 
 
 def test_experiment_horizon_over_the_guard_is_still_an_error():
@@ -499,9 +508,9 @@ def test_experiment_auto_horizon_caps_systems_over_the_horizon_guard(tmp_path):
     from gangsched.simulator import HORIZON_GUARD
 
     out = tmp_path / "auto.csv"
-    result = run_cli("experiment", "--points", "1", "--trials", "5", "--seed", "1",
-                     "--out", str(out))
-    assert result.returncode == 0, result.stderr
+    code, _, err = main_in_process("experiment", "--points", "1", "--trials", "5", "--seed", "1",
+                                   "--out", str(out))
+    assert code == 0, err
     fields = out.read_text().splitlines()[1].split(",")
     trials, certified, not_proven, inapplicable, sim_miss, gen_errors = map(int, fields[1:7])
     assert certified + not_proven + inapplicable == trials
@@ -591,11 +600,11 @@ def test_experiment_fuzz_exits_0_or_1_with_at_most_one_error_line(flags):
 def test_experiment_rejects_a_zero_denominator_load_max(tmp_path):
     out = tmp_path / "never.csv"
     for points in ("0", "2"):
-        result = run_cli("experiment", "--load-max", "1/0", "--points", points,
-                         "--out", str(out))
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
+        code, stdout, err = main_in_process("experiment", "--load-max", "1/0",
+                                            "--points", points, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: zero denominator in '1/0'"]
         assert not out.exists()
 
 
@@ -603,10 +612,10 @@ def test_experiment_rejects_a_zero_denominator_load_max(tmp_path):
 
 def test_gen_pipeline_hundred_files_all_analyzable(tmp_path):
     out = tmp_path / "bulk"
-    result = run_cli("gen", "--n", "4", "--m", "3", "--load", "0.5", "--seed", "21",
-                     "--count", "100", "--t-min", "5", "--t-max", "50",
-                     "--out", str(out))
-    assert result.returncode == 0
+    code, _, _ = main_in_process("gen", "--n", "4", "--m", "3", "--load", "0.5", "--seed", "21",
+                                 "--count", "100", "--t-min", "5", "--t-max", "50",
+                                 "--out", str(out))
+    assert code == 0
     from gangsched.analysis import analyze
     from gangsched.model import parse_task_system
 
@@ -622,32 +631,50 @@ def test_gen_writes_parseable_reproducible_files(tmp_path):
     out2 = tmp_path / "two"
     args = ["gen", "--n", "3", "--m", "3", "--load", "0.6", "--seed", "9",
             "--count", "3", "--t-min", "5", "--t-max", "20"]
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2)).returncode == 0
+    assert main_in_process(*args, "--out", str(out1))[0] == 0
+    assert main_in_process(*args, "--out", str(out2))[0] == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == ["ts_9_0.txt", "ts_9_1.txt", "ts_9_2.txt"]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        analyzed = run_cli("analyze", "--input", str(out1 / name))
-        assert analyzed.returncode in (0, 2, 3)  # parsed and analyzed fine
+        code, _, _ = main_in_process("analyze", "--input", str(out1 / name))
+        assert code in (0, 2, 3)  # parsed and analyzed fine
 
 
 def test_gen_rejects_a_negative_count(tmp_path):
     out = tmp_path / "never"
-    result = run_cli("gen", "--n", "3", "--m", "3", "--count", "-2", "--out", str(out))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
+    code, stdout, err = main_in_process("gen", "--n", "3", "--m", "3", "--count", "-2",
+                                        "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0] == "error: count must be >= 0"
     assert not out.exists()
 
 
 def test_gen_rejects_a_zero_denominator_load(tmp_path):
     out = tmp_path / "never"
-    result = run_cli("gen", "--n", "3", "--m", "3", "--load", "1/0", "--out", str(out))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == ["error: zero denominator in '1/0'"]
+    code, stdout, err = main_in_process("gen", "--n", "3", "--m", "3", "--load", "1/0",
+                                        "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.splitlines() == ["error: zero denominator in '1/0'"]
+    assert not out.exists()
+
+
+def test_a_malformed_flag_value_is_a_one_line_error_naming_the_flag(cx_file, tmp_path):
+    out = tmp_path / "never"
+    fraction = "must be a fraction such as 0.5 or 3/5, got"
+    for argv, message in (
+        (("simulate", "--input", cx_file, "--horizon", "abc"),
+         "--horizon must be 'auto' or an integer, got 'abc'"),
+        (("experiment", "--points", "0", "--horizon", "1.5"),
+         "--horizon must be 'auto' or an integer, got '1.5'"),
+        (("experiment", "--load-max", "nan"), f"--load-max {fraction} 'nan'"),
+        (("gen", "--n", "3", "--m", "3", "--load", "x", "--out", str(out)),
+         f"--load {fraction} 'x'"),
+    ):
+        assert main_in_process(*argv) == (1, "", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -712,25 +739,31 @@ def test_only_the_drawing_commands_import_numpy(cx_file):
 
 
 def test_the_cached_parser_gives_the_bytes_of_a_fresh_process(cx_file, capsys, monkeypatch):
-    # main builds its parser once per process: a usage error, a verdict and
-    # an experiment whose flags a previous call set otherwise must each
-    # print what a fresh `python -m gangsched` prints.
+    # main builds its parser once per process: a usage error, an input
+    # error, verdicts and an experiment whose flags a previous call set
+    # otherwise must each print what a fresh `python -m gangsched` prints,
+    # with its exit code, so that each of 0, 1, 2 and 3 comes from a process.
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
     cli._build_parser.cache_clear()
     commands = [
         ["analyze"],  # usage error: --input is required
+        ["analyze", "--input", str(Path(cx_file).with_name("missing.txt"))],
         ["analyze", "--input", cx_file, "--json"],
+        ["analyze", "--input", cx_file, "--variant", "original"],
         ["experiment", "--points", "2", "--trials", "3", "--variant", "original",
          "--carry-in", "all", "--delta-cap", "9", "--seed", "4", "--deadline-mode", "implicit"],
         ["experiment", "--points", "3", "--trials", "2"],
     ]
+    codes = set()
     for argv in commands:
         try:
             code = cli.main(argv)
         except SystemExit as usage_error:
             code = usage_error.code
-        fresh = run_cli(*argv)
+        fresh = run_python("-m", "gangsched", *argv)
         assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
     assert cli._build_parser.cache_info().misses == 1
 
 
